@@ -11,6 +11,7 @@
 #   ci/sanitize.sh shard                                # shard pipeline
 #   ci/sanitize.sh durability                           # crash safety
 #   ci/sanitize.sh native                               # packed kernel
+#   ci/sanitize.sh undefined                            # UBSan
 #   ci/sanitize.sh local                                # membership oracle
 #
 # `native` is a special leg, not a label regex: it builds once with
@@ -19,6 +20,13 @@
 # tier-forcing CLI smoke — every dispatch tier (portable, swar, and
 # avx2 where the CPU has it) answers under sanitizer instrumentation,
 # and the bit-identity checks diff their costs against each other.
+#
+# `undefined` is a special leg too: one CLUSTAGG_SANITIZE=undefined
+# build (GCC's -fsanitize=undefined, every report fatal) running the
+# backend-equivalence, property and local-oracle suites. The packed
+# label kernels are all shifts, lane masks and multiplies — exactly
+# where undefined behaviour hides — and those suites drive them through
+# every lane width, missing-aware and mismatch-only layouts alike.
 #
 # The local leg runs the membership-oracle suites (labels `local` and
 # `differential`): many threads share one oracle and race its LRU memo,
@@ -77,6 +85,18 @@ if [ "$1" = "native" ]; then
          --output-on-failure -j"$JOBS")
   done
   echo "sanitize: native leg passed"
+  exit 0
+fi
+
+if [ "$1" = "undefined" ]; then
+  BUILD="$ROOT/build-sanitize-undefined"
+  echo "=== CLUSTAGG_SANITIZE=undefined ==="
+  cmake -B "$BUILD" -S "$ROOT" -DCLUSTAGG_SANITIZE=undefined \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
+  cmake --build "$BUILD" -j"$JOBS"
+  (cd "$BUILD" && ctest -L 'backend|property|local' --no-tests=error \
+       --output-on-failure -j"$JOBS")
+  echo "sanitize: undefined leg passed"
   exit 0
 fi
 

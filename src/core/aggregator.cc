@@ -101,6 +101,38 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
     return ShardedAggregate(input, options);
   }
 
+  // Sampling eligibility is decided by the *requested* algorithm, not the
+  // effective one: sampling_size is documented as ignored for kExact, and
+  // that must stay true when the exact solver degrades to BALLS below
+  // (the recorded fallback promises "BALLS + LOCALSEARCH refinement",
+  // which the sampling path would not deliver).
+  const bool use_sampling =
+      options.sampling_size > 0 &&
+      options.algorithm != AggregationAlgorithm::kExact;
+
+  // Duplicate-signature folding: when it shrinks the instance, the
+  // whole pipeline below (build, cluster, refine) runs in s-signature
+  // space and the labels are expanded to object space at the end. The
+  // sampling path folds its own sub-instances instead.
+  std::optional<SignatureIndex> fold_index;
+  if (options.fold && !use_sampling) {
+    InstrumentedSpan fold_span(telemetry, "fold_index");
+    SignatureIndex signatures = SignatureIndex::Build(input);
+    out.fold_signatures = signatures.num_signatures();
+    TelemetrySetGauge(
+        telemetry, "aggregate.fold_signatures",
+        static_cast<std::int64_t>(signatures.num_signatures()));
+    if (!signatures.trivial()) {
+      out.folded = true;
+      TelemetryCount(telemetry, "aggregate.folds");
+      fold_index.emplace(std::move(signatures));
+    }
+  }
+  // The size every solver below actually sees: s signatures when
+  // folded, n objects otherwise.
+  const std::size_t instance_size =
+      fold_index ? fold_index->num_signatures() : input.num_objects();
+
   // Degradation 1: the exact solver beyond its tractable size would be a
   // hard ResourceExhausted; aggregation callers prefer a good answer over
   // none, so swap in BALLS polished by LOCALSEARCH (the paper's
@@ -111,11 +143,11 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
   }
   if (options.allow_fallbacks &&
       options.algorithm == AggregationAlgorithm::kExact &&
-      input.num_objects() > options.exact.max_objects) {
+      instance_size > options.exact.max_objects) {
     effective.algorithm = AggregationAlgorithm::kBalls;
     effective.refine_with_local_search = true;
     out.fallbacks.push_back(
-        "EXACT is intractable at n=" + std::to_string(input.num_objects()) +
+        "EXACT is intractable at n=" + std::to_string(instance_size) +
         " (max " + std::to_string(options.exact.max_objects) +
         "); fell back to BALLS + LOCALSEARCH refinement");
     out.outcome = MergeOutcomes(out.outcome, RunOutcome::kFellBack);
@@ -126,14 +158,6 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
       MakeClusterer(effective);
   if (!clusterer.ok()) return clusterer.status();
 
-  // Sampling eligibility is decided by the *requested* algorithm, not the
-  // effective one: sampling_size is documented as ignored for kExact, and
-  // that must stay true when the exact solver degrades to BALLS above
-  // (the recorded fallback promises "BALLS + LOCALSEARCH refinement",
-  // which the sampling path would not deliver).
-  const bool use_sampling =
-      effective.sampling_size > 0 &&
-      options.algorithm != AggregationAlgorithm::kExact;
   Result<Clustering> clustering = [&]() -> Result<Clustering> {
     if (use_sampling) {
       InstrumentedSpan cluster_span(telemetry, "cluster");
@@ -148,24 +172,6 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
       if (!sampled.ok()) return sampled.status();
       out.outcome = MergeOutcomes(out.outcome, sampled->outcome);
       return std::move(sampled->clustering);
-    }
-
-    // Duplicate-signature folding: when it shrinks the instance, the
-    // whole pipeline below (build, cluster, refine) runs in s-signature
-    // space and the labels are expanded to object space at the end.
-    std::optional<SignatureIndex> fold_index;
-    if (effective.fold) {
-      InstrumentedSpan fold_span(telemetry, "fold_index");
-      SignatureIndex signatures = SignatureIndex::Build(input);
-      out.fold_signatures = signatures.num_signatures();
-      TelemetrySetGauge(
-          telemetry, "aggregate.fold_signatures",
-          static_cast<std::int64_t>(signatures.num_signatures()));
-      if (!signatures.trivial()) {
-        out.folded = true;
-        TelemetryCount(telemetry, "aggregate.folds");
-        fold_index.emplace(std::move(signatures));
-      }
     }
 
     DistanceSourceOptions source_options{effective.backend,

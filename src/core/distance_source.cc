@@ -30,134 +30,50 @@ struct DistanceColumns {
   std::vector<double> weights;
   double total_weight = 0.0;
   MissingValueOptions missing;
-  /// True when no object has a missing label under any input clustering
-  /// and every input weight is exactly 1.0. Then X_uv reduces to an
-  /// integer mismatch count over the two label rows divided by m, which
-  /// `ColumnDistance` serves from a branch-free auto-vectorizable loop.
-  /// The count path is bit-identical to the general accumulation: sums
-  /// of 1.0 are exact integers, opinionated == total_weight exactly, so
-  /// the kRandomCoin correction adds exactly 0.0 and both policies
-  /// divide the same numerator by the same denominator.
-  bool uniform_no_missing = false;
   /// Bit-packed label lanes (see core/internal/packed_labels.h), built
-  /// whenever uniform_no_missing holds, every column's alphabet packs
-  /// into <= 16-bit lanes, and the active kernel tier enables packing.
-  /// The packed mismatch count is the same integer the byte loop
-  /// produces, so queries stay bit-identical; nullptr falls back to the
-  /// auto-vectorized byte-compare loop.
+  /// whenever every input weight is exactly 1.0, every column's codes
+  /// fit <= 16-bit lanes (missing cells take code 0), the value table
+  /// stays within kMaxPackedValueTable entries, and the active kernel
+  /// tier enables packing. Queries then read (d, o) off the packed
+  /// words and answer from packed_value; nullptr keeps the general loop
+  /// in ColumnDistance, the reference path.
   std::unique_ptr<PackedLabels> packed;
   /// Hot fields of *packed, flattened so a single point query reads
   /// them straight off this struct (already in cache from the bounds
   /// check) instead of chasing packed -> words/classes — three
   /// dependent loads that would dominate a ~10-op kernel.
-  /// packed_words is non-null only for single-word layouts.
+  /// packed_words is non-null only for single-word layouts, and
+  /// packed_present only for single-word missing-aware ones.
   const std::uint64_t* packed_words = nullptr;
+  const std::uint64_t* packed_present = nullptr;
   std::uint64_t packed_lsb_mask = 0;
   std::uint32_t packed_width = 0;
   std::uint32_t packed_mul_shift = 0;
   bool packed_mul = false;
-  /// packed_value[c] = double(float(double(c) / total_weight)) for
-  /// c in [0, m]: the fast path's exact arithmetic precomputed, so the
-  /// query path trades the division for an L1 load.
-  std::vector<double> packed_value;
+  /// The (d, o) value table, indexed by PackedValueIndex:
+  /// packed_value[(m - o) * (m + 1) + d] = float(PolicyDistance(d, o)),
+  /// the general loop's arithmetic on the integers it would sum with
+  /// unit weights. Unit-weight sums are exact, so every entry carries
+  /// the general path's bits and the query trades the policy branch
+  /// and division for one L1 load.
+  std::vector<float> packed_value;
 };
 
 }  // namespace internal
 
 namespace {
 
-internal::DistanceColumns MakeColumns(const ClusteringSet& input,
-                                      const std::vector<std::size_t>* subset,
-                                      const MissingValueOptions& missing) {
-  internal::DistanceColumns cols;
-  cols.n = subset != nullptr ? subset->size() : input.num_objects();
-  cols.m = input.num_clusterings();
-  cols.missing = missing;
-  cols.total_weight = input.total_weight();
-  cols.weights.resize(cols.m);
-  cols.labels.resize(cols.m * cols.n);
-  bool any_missing = false;
-  bool uniform = true;
-  for (std::size_t i = 0; i < cols.m; ++i) {
-    cols.weights[i] = input.weight(i);
-    if (cols.weights[i] != 1.0) uniform = false;
-    const Clustering& c = input.clustering(i);
-    Clustering::Label* out = cols.labels.data() + i;
-    for (std::size_t v = 0; v < cols.n; ++v) {
-      const Clustering::Label label =
-          c.label(subset != nullptr ? (*subset)[v] : v);
-      if (label == Clustering::kMissing) any_missing = true;
-      out[v * cols.m] = label;
-    }
-  }
-  cols.uniform_no_missing = uniform && !any_missing;
-  if (cols.uniform_no_missing &&
-      internal::ActivePackedKernelTier() !=
-          internal::PackedKernelTier::kPortable) {
-    cols.packed =
-        internal::PackLabelRows(cols.labels.data(), cols.n, cols.m);
-  }
-  if (cols.packed != nullptr) {
-    cols.packed_value =
-        internal::BuildPackedValueLut(cols.m, cols.total_weight);
-    if (cols.packed->words_per_object == 1) {
-      const internal::PackedClass& cls = cols.packed->classes[0];
-      cols.packed_words = cols.packed->words.data();
-      cols.packed_lsb_mask = cls.lsb_mask;
-      cols.packed_width = cls.width;
-      cols.packed_mul_shift = cols.packed->mul_shift;
-      cols.packed_mul = cols.packed->mul_count_ok;
-    }
-  }
-  return cols;
-}
+/// Largest (d, o) value table a packed source builds (4 MiB of float).
+/// (missing_columns + 1) * (m + 1) fits it for every m < 1024; wider
+/// instances with many missing columns keep the general loop.
+constexpr std::size_t kMaxPackedValueTable = std::size_t{1} << 20;
 
-/// X_uv over the hoisted label rows. The accumulation order (ascending i)
-/// and arithmetic match ClusteringSet::PairwiseDistance exactly so both
-/// backends (and the legacy serial builder) agree to the last bit; the
-/// mismatch-count fast path produces the same bits by the argument on
-/// DistanceColumns::uniform_no_missing.
-double ColumnDistance(const internal::DistanceColumns& cols, std::size_t u,
-                      std::size_t v) {
-  if (u == v) return 0.0;
-  if (cols.packed_words != nullptr) {
-    // Single packed word per object: XOR + lane-collapse + count +
-    // LUT — same integer as the byte loop, same (precomputed)
-    // division, same bits. All operands live on this struct or in two
-    // word loads, so the query carries no pointer chain.
-    const std::uint64_t collapsed = internal::CollapseToLaneLsb(
-        cols.packed_words[u] ^ cols.packed_words[v], cols.packed_width,
-        cols.packed_lsb_mask);
-    const std::size_t mismatches =
-        cols.packed_mul
-            ? (collapsed * cols.packed_lsb_mask) >> cols.packed_mul_shift
-            : internal::Popcount64(collapsed);
-    return cols.packed_value[mismatches];
-  }
-  const std::size_t m = cols.m;
-  const Clustering::Label* row_u = cols.labels.data() + u * m;
-  const Clustering::Label* row_v = cols.labels.data() + v * m;
-  if (cols.uniform_no_missing) {
-    if (cols.packed != nullptr) {
-      // Multi-word packed layout: per-class SWAR count, then the LUT.
-      return cols.packed_value[internal::CountMismatchesPacked(
-          *cols.packed, u, v)];
-    }
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      mismatches += row_u[i] != row_v[i] ? 1 : 0;
-    }
-    return static_cast<double>(mismatches) / cols.total_weight;
-  }
-  double disagreeing = 0.0;
-  double opinionated = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    const Clustering::Label lu = row_u[i];
-    const Clustering::Label lv = row_v[i];
-    if (lu == Clustering::kMissing || lv == Clustering::kMissing) continue;
-    opinionated += cols.weights[i];
-    if (lu != lv) disagreeing += cols.weights[i];
-  }
+/// X_uv from the weighted disagreeing and opinionated sums under the
+/// configured missing-value policy — the arithmetic of
+/// ClusteringSet::PairwiseDistance, shared by the general loop and the
+/// packed value table so both produce the same bits.
+double PolicyDistance(const internal::DistanceColumns& cols,
+                      double disagreeing, double opinionated) {
   switch (cols.missing.policy) {
     case MissingValuePolicy::kRandomCoin:
       disagreeing += (cols.total_weight - opinionated) *
@@ -169,6 +85,106 @@ double ColumnDistance(const internal::DistanceColumns& cols, std::size_t u,
   }
   CLUSTAGG_CHECK(false);
   return 0.0;
+}
+
+internal::DistanceColumns MakeColumns(const ClusteringSet& input,
+                                      const std::vector<std::size_t>* subset,
+                                      const MissingValueOptions& missing) {
+  internal::DistanceColumns cols;
+  cols.n = subset != nullptr ? subset->size() : input.num_objects();
+  cols.m = input.num_clusterings();
+  cols.missing = missing;
+  cols.total_weight = input.total_weight();
+  cols.weights.resize(cols.m);
+  cols.labels.resize(cols.m * cols.n);
+  bool unit_weights = true;
+  for (std::size_t i = 0; i < cols.m; ++i) {
+    cols.weights[i] = input.weight(i);
+    if (cols.weights[i] != 1.0) unit_weights = false;
+    const Clustering& c = input.clustering(i);
+    Clustering::Label* out = cols.labels.data() + i;
+    for (std::size_t v = 0; v < cols.n; ++v) {
+      out[v * cols.m] = c.label(subset != nullptr ? (*subset)[v] : v);
+    }
+  }
+  if (unit_weights && internal::ActivePackedKernelTier() !=
+                          internal::PackedKernelTier::kPortable) {
+    cols.packed =
+        internal::PackLabelRows(cols.labels.data(), cols.n, cols.m);
+    if (cols.packed != nullptr &&
+        internal::PackedValueTableSize(*cols.packed) > kMaxPackedValueTable) {
+      cols.packed.reset();
+    }
+  }
+  if (cols.packed != nullptr) {
+    const std::size_t m = cols.m;
+    cols.packed_value.assign(internal::PackedValueTableSize(*cols.packed),
+                             0.0f);
+    for (std::size_t o = m - cols.packed->missing_columns; o <= m; ++o) {
+      for (std::size_t d = 0; d <= o; ++d) {
+        cols.packed_value[internal::PackedValueIndex(m, d, o)] =
+            static_cast<float>(PolicyDistance(cols, static_cast<double>(d),
+                                              static_cast<double>(o)));
+      }
+    }
+    if (cols.packed->words_per_object == 1) {
+      const internal::PackedClass& cls = cols.packed->classes[0];
+      cols.packed_words = cols.packed->words.data();
+      if (cols.packed->missing_aware()) {
+        cols.packed_present = cols.packed->present.data();
+      }
+      cols.packed_lsb_mask = cls.lsb_mask;
+      cols.packed_width = cls.width;
+      cols.packed_mul_shift = cols.packed->mul_shift;
+      cols.packed_mul = cols.packed->mul_count_ok;
+    }
+  }
+  return cols;
+}
+
+/// X_uv over the hoisted label rows. The general loop's accumulation
+/// order (ascending i) and arithmetic match
+/// ClusteringSet::PairwiseDistance exactly so both backends (and the
+/// legacy serial builder) agree to the last bit; packed sources answer
+/// from the value table, whose entries are that same arithmetic.
+double ColumnDistance(const internal::DistanceColumns& cols, std::size_t u,
+                      std::size_t v) {
+  if (u == v) return 0.0;
+  if (cols.packed_words != nullptr) {
+    // Single packed word per object: XOR + lane-collapse + count (and
+    // for missing-aware layouts the presence AND and a second count),
+    // then the table. All operands live on this struct or in two to
+    // four word loads, so the query carries no pointer chain.
+    const std::uint64_t mask = cols.packed_lsb_mask;
+    const auto count = [&](std::uint64_t collapsed) -> std::size_t {
+      return cols.packed_mul ? (collapsed * mask) >> cols.packed_mul_shift
+                             : internal::CountLaneLsbs(collapsed,
+                                                       cols.packed_width);
+    };
+    const std::uint64_t diff = internal::CollapseToLaneLsb(
+        cols.packed_words[u] ^ cols.packed_words[v], cols.packed_width,
+        mask);
+    if (cols.packed_present == nullptr) return cols.packed_value[count(diff)];
+    const std::uint64_t both = cols.packed_present[u] & cols.packed_present[v];
+    return cols.packed_value[internal::PackedValueIndex(
+        cols.m, count(diff & both), count(both))];
+  }
+  if (cols.packed != nullptr) {
+    return cols.packed_value[internal::PackedValueIndex(*cols.packed, u, v)];
+  }
+  const std::size_t m = cols.m;
+  const Clustering::Label* row_u = cols.labels.data() + u * m;
+  const Clustering::Label* row_v = cols.labels.data() + v * m;
+  double disagreeing = 0.0;
+  double opinionated = 0.0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const Clustering::Label lu = row_u[i];
+    const Clustering::Label lv = row_v[i];
+    if (lu == Clustering::kMissing || lv == Clustering::kMissing) continue;
+    opinionated += cols.weights[i];
+    if (lu != lv) disagreeing += cols.weights[i];
+  }
+  return PolicyDistance(cols, disagreeing, opinionated);
 }
 
 Result<std::shared_ptr<const DenseDistanceSource>> BuildDenseFromColumns(
@@ -192,39 +208,40 @@ Result<std::shared_ptr<const DenseDistanceSource>> BuildDenseFromColumns(
   TelemetrySetGauge(run.telemetry(), "build.dense_threads",
                     static_cast<std::int64_t>(threads));
   InstrumentedTimer build_timer(run.telemetry(), "build.dense_nanos");
-  // Cache-blocked fill: the triangle is carved into row bands, and each
-  // band sweeps its columns in kTileCols-wide tiles so the tile's label
-  // rows (kTileCols * m labels) stay cache-resident while every row of
-  // the band visits them. Bands are disjoint contiguous slices of the
-  // packed store, so every thread writes its own memory and the result is
-  // schedule-independent regardless of how bands land on threads. Each
-  // band charges its row count against the iteration budget (the loop
-  // helper charges one unit per band; the top-up below restores per-row
-  // accounting). A half-filled matrix is unusable, so when the budget
-  // fires mid-fill the build fails with the interrupt status rather than
-  // returning garbage.
-  constexpr std::size_t kTileRows = 64;
-  constexpr std::size_t kTileCols = 256;
+  // Row-band fill: the triangle is carved into bands of consecutive
+  // rows, and each row's tail [u+1, n) is filled in one contiguous
+  // sweep — by the packed row kernel when the source packs (a word or
+  // two per object, so the whole packed store usually sits in L1/L2
+  // and needs no column tiling), else by the general loop. Bands are
+  // disjoint contiguous slices of the packed store, so every thread
+  // writes its own memory and the result is schedule-independent
+  // regardless of how bands land on threads. Each band charges its row
+  // count against the iteration budget (the loop helper charges one
+  // unit per band; the top-up below restores per-row accounting). A
+  // half-filled matrix is unusable, so when the budget fires mid-fill
+  // the build fails with the interrupt status rather than returning
+  // garbage.
+  constexpr std::size_t kBandRows = 64;
   // Cost-weighted bands: row u owns n - u - 1 pairs, so fixed-height
   // bands at the top of the triangle carry up to twice the average work
   // and a chunk of consecutive heavy bands claimed by one thread becomes
   // the straggler that flattens thread scaling. Bands here grow until
-  // they hold ~kTileRows * n / 2 pairs (an average fixed band's mass) or
-  // hit the kTileRows cache-tile height, so every claimed chunk carries
-  // near-equal work: heavy top rows get short bands, light bottom rows
-  // fill to the tile height. Boundaries depend only on n — never on the
-  // thread count — so the fill and its exact per-row iteration
-  // accounting stay schedule-independent.
+  // they hold ~kBandRows * n / 2 pairs (an average fixed band's mass) or
+  // hit kBandRows rows, so every claimed chunk carries near-equal work:
+  // heavy top rows get short bands, light bottom rows fill to the full
+  // height. Boundaries depend only on n — never on the thread count —
+  // so the fill and its exact per-row iteration accounting stay
+  // schedule-independent.
   std::vector<std::size_t> band_start;
-  band_start.reserve(n / (kTileRows / 2) + 2);
+  band_start.reserve(n / (kBandRows / 2) + 2);
   const std::uint64_t target_pairs =
-      static_cast<std::uint64_t>(kTileRows) * static_cast<std::uint64_t>(n) /
+      static_cast<std::uint64_t>(kBandRows) * static_cast<std::uint64_t>(n) /
       2;
   for (std::size_t u0 = 0; u0 < n;) {
     band_start.push_back(u0);
     std::uint64_t mass = 0;
     std::size_t u1 = u0;
-    while (u1 < n && u1 - u0 < kTileRows) {
+    while (u1 < n && u1 - u0 < kBandRows) {
       mass += static_cast<std::uint64_t>(n - u1 - 1);
       ++u1;
       if (mass >= target_pairs) break;
@@ -238,31 +255,16 @@ Result<std::shared_ptr<const DenseDistanceSource>> BuildDenseFromColumns(
         const std::size_t u0 = band_start[band];
         const std::size_t u1 = band_start[band + 1];
         if (u1 - u0 > 1) run.ChargeIterations(u1 - u0 - 1);
-        if (cols.packed != nullptr) {
-          // Packed rows are a word or two per object — the whole packed
-          // store usually fits in L1 — so no column tiling is needed:
-          // each matrix row's tail [u+1, n) is filled in one contiguous
-          // sweep by the SWAR/AVX2 row kernel (which prefetches the
-          // v-words ahead of itself). Values are bit-identical to the
-          // byte-loop tile fill below.
-          for (std::size_t u = u0; u < u1; ++u) {
-            if (u + 1 >= n) continue;
-            internal::PackedMismatchRowFloat(
-                *cols.packed, u, u + 1, n, cols.total_weight,
-                cols.packed_value.data(),
-                packed.data() + distances.PackedIndex(u, u + 1));
+        for (std::size_t u = u0; u < u1 && u + 1 < n; ++u) {
+          float* row = packed.data() + distances.PackedIndex(u, u + 1);
+          if (cols.packed != nullptr) {
+            internal::PackedMismatchRowFloat(*cols.packed, u, u + 1, n,
+                                             cols.total_weight,
+                                             cols.packed_value.data(), row);
+            continue;
           }
-          return;
-        }
-        for (std::size_t c0 = u0 + 1; c0 < n; c0 += kTileCols) {
-          const std::size_t c1 = std::min(n, c0 + kTileCols);
-          for (std::size_t u = u0; u < u1; ++u) {
-            const std::size_t v0 = std::max(c0, u + 1);
-            if (v0 >= c1) continue;
-            float* row = packed.data() + distances.PackedIndex(u, v0);
-            for (std::size_t v = v0; v < c1; ++v) {
-              row[v - v0] = static_cast<float>(ColumnDistance(cols, u, v));
-            }
+          for (std::size_t v = u + 1; v < n; ++v) {
+            row[v - u - 1] = static_cast<float>(ColumnDistance(cols, u, v));
           }
         }
       });
@@ -407,7 +409,6 @@ void LazyDistanceSource::FillRow(std::size_t u, std::span<double> row) const {
   const std::size_t n = cols.n;
   CLUSTAGG_CHECK(u < n && row.size() >= n);
   if (cols.packed != nullptr) {
-    // Bulk packed fill (X_uu comes out exactly 0.0: zero mismatches).
     internal::PackedMismatchRowDouble(*cols.packed, u, 0, n,
                                       cols.total_weight,
                                       cols.packed_value.data(), row.data());
@@ -424,10 +425,8 @@ void LazyDistanceSource::AgreementRow(std::size_t u,
   const std::size_t n = cols.n;
   CLUSTAGG_CHECK(u < n && agree.size() >= n);
   if (cols.packed != nullptr) {
-    // Integer threshold per pair (2 * mismatches < m) — no float
-    // materialization at all; equivalent to the rounded compare for any
-    // m below ~2^24 (see PackedAgreementRow).
-    internal::PackedAgreementRow(*cols.packed, u, 0, n, agree.data());
+    internal::PackedAgreementRow(*cols.packed, u, 0, n,
+                                 cols.packed_value.data(), agree.data());
     return;
   }
   for (std::size_t v = 0; v < n; ++v) {

@@ -76,7 +76,8 @@ class DistanceSource {
   /// (u itself agrees with itself). Exactly equivalent to comparing
   /// FillRow output against 0.5, but backends can answer it without
   /// materializing distances — the lazy backend's packed kernel decides
-  /// it with an integer compare per pair. The default loops `distance`.
+  /// it from one value-table load per pair. The default loops
+  /// `distance`.
   virtual void AgreementRow(std::size_t u, std::span<char> agree) const;
 
   /// The packed matrix when this source is dense, nullptr otherwise.
@@ -154,7 +155,8 @@ class LazyDistanceSource final : public DistanceSource {
   const char* name() const override { return "lazy"; }
 
   /// True when this source carries the bit-packed label representation
-  /// (plain instance, packable alphabets, packing tier active).
+  /// (unit weights, packable alphabets, packing tier active; missing
+  /// labels pack too).
   /// Introspection for tests and benches; queries answer bit-identically
   /// either way.
   bool uses_packed_labels() const;

@@ -5,7 +5,8 @@
 // checks the CPU at runtime, so a CLUSTAGG_NATIVE binary still runs
 // correctly on machines without AVX2.
 //
-// Strategy (single-word layouts, the m <= 9 small-alphabet hot case):
+// Strategy (mismatch-only single-word layouts — no missing column, the
+// m <= 9 small-alphabet hot case; missing-aware layouts stay on SWAR):
 // four objects' words per iteration — 256-bit load of four consecutive
 // v-words (object-major storage makes them contiguous), XOR against the
 // broadcast u-word, the same SWAR lane collapse as the scalar kernel
@@ -94,7 +95,8 @@ void RowFillAvx2(const PackedLabels& p, std::size_t u, std::size_t v0,
     const std::uint64_t collapsed = CollapseToLaneLsb(
         uw ^ vw[i], p.classes[0].width, p.classes[0].lsb_mask);
     out[i] = static_cast<Out>(static_cast<float>(
-        static_cast<double>(Popcount64(collapsed)) / total_weight));
+        static_cast<double>(CountLaneLsbs(collapsed, kWidth)) /
+        total_weight));
   }
 }
 

@@ -109,11 +109,16 @@ std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
   if (m == 0) return nullptr;
   constexpr std::size_t kMaxAlphabet = std::size_t{1} << 16;
 
-  // Pass 1: remap each column's labels to 0..k-1 by first appearance
-  // (only equality survives packing, so the remap changes nothing) and
-  // record the column's lane width.
+  // Pass 1: remap each column's labels to dense codes 0..k-1 by first
+  // appearance and record the column's lane width. A column holding
+  // kMissing then trades codes so that kMissing gets 0 and its present
+  // symbols 1..k-1. Only equality and presence survive packing, so the
+  // remap changes nothing the kernels can observe, and the swap keeps
+  // the code count (and so the lane width) of the plain remap.
   std::vector<std::uint32_t> remapped(n * m);
   std::vector<std::uint32_t> width(m);
+  std::vector<char> has_missing(m, 0);
+  std::size_t missing_columns = 0;
   std::unordered_map<Clustering::Label, std::uint32_t> alphabet;
   for (std::size_t i = 0; i < m; ++i) {
     alphabet.clear();
@@ -127,6 +132,16 @@ std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
       if (it->second > max_id) max_id = it->second;
     }
     width[i] = LaneWidthFor(max_id);
+    const auto missing = alphabet.find(Clustering::kMissing);
+    if (missing == alphabet.end()) continue;
+    has_missing[i] = 1;
+    ++missing_columns;
+    const std::uint32_t code = missing->second;
+    if (code == 0) continue;
+    for (std::size_t v = 0; v < n; ++v) {
+      std::uint32_t& c = remapped[v * m + i];
+      c = c == code ? 0 : c == 0 ? code : c;
+    }
   }
 
   // Pass 2: choose the layout. Candidate A groups columns by width into
@@ -155,6 +170,7 @@ std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
   auto packed = std::make_unique<PackedLabels>();
   packed->n = n;
   packed->m = m;
+  packed->missing_columns = missing_columns;
 
   // Assign every column a (word slot, bit shift) and materialize the
   // class table. Classes are laid out widest-first so the table is
@@ -196,20 +212,31 @@ std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
   // Multiply-sum eligibility: (collapsed * lsb_mask) computes per-lane
   // prefix sums of the 0/1 lane bits; the top lane holds the total. No
   // carry crosses lanes as long as every prefix sum fits in the lane
-  // width, i.e. m < 2^width.
+  // width, i.e. m < 2^width (d and o are both at most m).
   if (packed->words_per_object == 1) {
     const std::uint32_t w = packed->classes[0].width;
     packed->mul_count_ok = w < 64 && m < (std::size_t{1} << w);
     packed->mul_shift = 64 - w;
   }
 
-  // Pass 3: scatter the remapped labels into the lanes.
-  packed->words.assign(n * packed->words_per_object, 0);
+  // Pass 3: scatter the remapped labels into the lanes, and for
+  // missing-aware layouts the presence bits (a lane is present unless
+  // its column reserves code 0 and the code is 0).
+  const std::size_t words = packed->words_per_object;
+  packed->words.assign(n * words, 0);
+  if (missing_columns != 0) packed->present.assign(n * words, 0);
   for (std::size_t v = 0; v < n; ++v) {
-    std::uint64_t* out = packed->words.data() + v * packed->words_per_object;
+    std::uint64_t* out = packed->words.data() + v * words;
     const std::uint32_t* in = remapped.data() + v * m;
     for (std::size_t i = 0; i < m; ++i) {
       out[slot[i]] |= static_cast<std::uint64_t>(in[i]) << shift[i];
+    }
+    if (missing_columns == 0) continue;
+    std::uint64_t* present = packed->present.data() + v * words;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (!has_missing[i] || in[i] != 0) {
+        present[slot[i]] |= std::uint64_t{1} << shift[i];
+      }
     }
   }
   return packed;
@@ -217,57 +244,147 @@ std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
 
 namespace {
 
-/// Portable bulk fill over the single-word layout: one XOR + collapse +
-/// count per pair, with the v-words prefetched a few cache lines ahead
-/// (the packed array is object-major, so the walk is sequential). The
-/// mismatch count indexes the precomputed value LUT, so the hot loop
-/// carries no division at all.
-template <typename Out>
-void RowFillSingleWord(const PackedLabels& p, std::size_t u, std::size_t v0,
-                       std::size_t v1, const double* value_lut, Out* out) {
-  const PackedClass& c = p.classes[0];
-  const std::uint32_t width = c.width;
-  const std::uint64_t mask = c.lsb_mask;
+/// Prefetch distance for the row walks, in words: the packed arrays are
+/// object-major, so the v-side streams sequentially.
+constexpr std::size_t kPrefetchWords = 64;
+
+/// Single-word layouts: one XOR + collapse + count per pair (plus the
+/// presence AND and a second count when the layout is missing-aware),
+/// with the v-words prefetched a few cache lines ahead. The counts
+/// index the value table, so the hot loop carries no division at all.
+/// Every kernel below hands each pair's table index to `emit(i, index)`.
+template <std::uint32_t kWidth, bool kMissingAware, typename Emit>
+void RowWalkSingleWord(const PackedLabels& p, std::size_t u, std::size_t v0,
+                       std::size_t v1, Emit emit) {
+  const std::uint64_t mask = p.classes[0].lsb_mask;
+  const bool mul = p.mul_count_ok;
+  const std::uint32_t shift = p.mul_shift;
+  const auto count = [&](std::uint64_t collapsed) -> std::size_t {
+    return mul ? (collapsed * mask) >> shift
+               : CountLaneLsbs(collapsed, kWidth);
+  };
+  const std::size_t m = p.m;
   const std::uint64_t uw = p.words[u];
   const std::uint64_t* vw = p.words.data() + v0;
-  const std::size_t count = v1 - v0;
-  if (p.mul_count_ok) {
-    const std::uint32_t shift = p.mul_shift;
-    for (std::size_t i = 0; i < count; ++i) {
-      if ((i & 31u) == 0 && i + 64 < count) {
-        __builtin_prefetch(vw + i + 64, 0, 0);
+  const std::uint64_t up = kMissingAware ? p.present[u] : 0;
+  const std::uint64_t* vp = kMissingAware ? p.present.data() + v0 : nullptr;
+  const std::size_t n = v1 - v0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((i & 31u) == 0 && i + kPrefetchWords < n) {
+      __builtin_prefetch(vw + i + kPrefetchWords, 0, 0);
+      if constexpr (kMissingAware) {
+        __builtin_prefetch(vp + i + kPrefetchWords, 0, 0);
       }
-      const std::uint64_t collapsed =
-          CollapseToLaneLsb(uw ^ vw[i], width, mask);
-      out[i] = static_cast<Out>(value_lut[(collapsed * mask) >> shift]);
     }
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    if ((i & 31u) == 0 && i + 64 < count) {
-      __builtin_prefetch(vw + i + 64, 0, 0);
+    const std::uint64_t diff = CollapseToLaneLsb(uw ^ vw[i], kWidth, mask);
+    if constexpr (kMissingAware) {
+      const std::uint64_t both = up & vp[i];
+      emit(i, PackedValueIndex(m, count(diff & both), count(both)));
+    } else {
+      emit(i, count(diff));
     }
-    const std::uint64_t collapsed =
-        CollapseToLaneLsb(uw ^ vw[i], width, mask);
-    out[i] = static_cast<Out>(value_lut[Popcount64(collapsed)]);
   }
 }
 
-template <typename Out>
-void RowFillGeneral(const PackedLabels& p, std::size_t u, std::size_t v0,
-                    std::size_t v1, const double* value_lut, Out* out) {
+/// Multi-word layouts: the per-pair loop of PackedValueIndex, with the
+/// next rows prefetched.
+template <typename Emit>
+void RowWalkMultiWord(const PackedLabels& p, std::size_t u, std::size_t v0,
+                      std::size_t v1, Emit emit) {
   for (std::size_t v = v0; v < v1; ++v) {
     if (((v - v0) & 15u) == 0 && v + 16 < v1) {
       __builtin_prefetch(p.row(v + 16), 0, 0);
+      if (p.missing_aware()) __builtin_prefetch(p.present_row(v + 16), 0, 0);
     }
-    out[v - v0] =
-        static_cast<Out>(value_lut[CountMismatchesPacked(p, u, v)]);
+    emit(v - v0, PackedValueIndex(p, u, v));
+  }
+}
+
+/// Multi-word layouts of one width class (e.g. m = 22 at 4-bit lanes):
+/// the lane width is a compile-time constant and the per-word counts
+/// need no class loop.
+template <std::uint32_t kWidth, bool kMissingAware, typename Emit>
+void RowWalkOneClass(const PackedLabels& p, std::size_t u, std::size_t v0,
+                     std::size_t v1, Emit emit) {
+  const std::uint64_t mask = p.classes[0].lsb_mask;
+  const std::size_t words = p.words_per_object;
+  const std::size_t m = p.m;
+  const std::uint64_t* a = p.row(u);
+  const std::uint64_t* pa = kMissingAware ? p.present_row(u) : nullptr;
+  for (std::size_t v = v0; v < v1; ++v) {
+    if (((v - v0) & 15u) == 0 && v + 16 < v1) {
+      __builtin_prefetch(p.row(v + 16), 0, 0);
+      if constexpr (kMissingAware) {
+        __builtin_prefetch(p.present_row(v + 16), 0, 0);
+      }
+    }
+    const std::uint64_t* b = p.row(v);
+    LaneCounter disagree(m);
+    if constexpr (kMissingAware) {
+      const std::uint64_t* pb = p.present_row(v);
+      LaneCounter opinionated(m);
+      for (std::size_t w = 0; w < words; ++w) {
+        const std::uint64_t both = pa[w] & pb[w];
+        disagree.Add(CollapseToLaneLsb(a[w] ^ b[w], kWidth, mask) & both,
+                     kWidth);
+        opinionated.Add(both, kWidth);
+      }
+      emit(v - v0,
+           PackedValueIndex(m, disagree.total(), opinionated.total()));
+    } else {
+      for (std::size_t w = 0; w < words; ++w) {
+        disagree.Add(CollapseToLaneLsb(a[w] ^ b[w], kWidth, mask), kWidth);
+      }
+      emit(v - v0, disagree.total());
+    }
+  }
+}
+
+template <std::uint32_t kWidth, typename Emit>
+void RowWalkWidth(const PackedLabels& p, std::size_t u, std::size_t v0,
+                  std::size_t v1, Emit emit) {
+  const bool single = p.words_per_object == 1;
+  if (p.missing_aware()) {
+    single ? RowWalkSingleWord<kWidth, true>(p, u, v0, v1, emit)
+           : RowWalkOneClass<kWidth, true>(p, u, v0, v1, emit);
+  } else {
+    single ? RowWalkSingleWord<kWidth, false>(p, u, v0, v1, emit)
+           : RowWalkOneClass<kWidth, false>(p, u, v0, v1, emit);
+  }
+}
+
+/// Hands emit(v - v0, table index) for every v in [v0, v1), picking the
+/// specialized walk for single-class layouts.
+template <typename Emit>
+void RowWalk(const PackedLabels& p, std::size_t u, std::size_t v0,
+             std::size_t v1, Emit emit) {
+  if (p.classes.size() != 1) {
+    RowWalkMultiWord(p, u, v0, v1, emit);
+    return;
+  }
+  switch (p.classes[0].width) {
+    case 1:
+      RowWalkWidth<1>(p, u, v0, v1, emit);
+      return;
+    case 2:
+      RowWalkWidth<2>(p, u, v0, v1, emit);
+      return;
+    case 4:
+      RowWalkWidth<4>(p, u, v0, v1, emit);
+      return;
+    case 8:
+      RowWalkWidth<8>(p, u, v0, v1, emit);
+      return;
+    default:
+      RowWalkWidth<16>(p, u, v0, v1, emit);
+      return;
   }
 }
 
 [[maybe_unused]] bool UseAvx2(const PackedLabels& p) {
 #if defined(CLUSTAGG_HAVE_AVX2_KERNEL)
-  return p.words_per_object == 1 && Avx2KernelAvailable() &&
+  return p.words_per_object == 1 && !p.missing_aware() &&
+         Avx2KernelAvailable() &&
          ActivePackedKernelTier() == PackedKernelTier::kAvx2;
 #else
   (void)p;
@@ -275,24 +392,23 @@ void RowFillGeneral(const PackedLabels& p, std::size_t u, std::size_t v0,
 #endif
 }
 
-}  // namespace
-
-std::vector<double> BuildPackedValueLut(std::size_t m, double total_weight) {
-  std::vector<double> lut(m + 1);
-  for (std::size_t c = 0; c <= m; ++c) {
-    // Exactly the scalar fast path's arithmetic, precomputed: the float
-    // rounding step is what keeps every tier bit-identical, and storing
-    // the result as double round-trips losslessly for both consumers.
-    lut[c] = static_cast<double>(
-        static_cast<float>(static_cast<double>(c) / total_weight));
-  }
-  return lut;
+template <typename Out>
+void RowFill(const PackedLabels& p, std::size_t u, std::size_t v0,
+             std::size_t v1, const float* value_table, Out* out) {
+  RowWalk(p, u, v0, v1, [&](std::size_t i, std::size_t index) {
+    out[i] = static_cast<Out>(value_table[index]);
+  });
+  // X_uu is 0 by definition; with missing cells the (0, o) entry need
+  // not be (kRandomCoin charges u's own silent clusterings).
+  if (v0 <= u && u < v1) out[u - v0] = 0;
 }
+
+}  // namespace
 
 void PackedMismatchRowFloat(const PackedLabels& p, std::size_t u,
                             std::size_t v0, std::size_t v1,
                             [[maybe_unused]] double total_weight,
-                            const double* value_lut, float* out) {
+                            const float* value_table, float* out) {
   CLUSTAGG_CHECK(u < p.n && v0 <= v1 && v1 <= p.n);
 #if defined(CLUSTAGG_HAVE_AVX2_KERNEL)
   if (UseAvx2(p)) {
@@ -300,17 +416,13 @@ void PackedMismatchRowFloat(const PackedLabels& p, std::size_t u,
     return;
   }
 #endif
-  if (p.words_per_object == 1) {
-    RowFillSingleWord(p, u, v0, v1, value_lut, out);
-  } else {
-    RowFillGeneral(p, u, v0, v1, value_lut, out);
-  }
+  RowFill(p, u, v0, v1, value_table, out);
 }
 
 void PackedMismatchRowDouble(const PackedLabels& p, std::size_t u,
                              std::size_t v0, std::size_t v1,
                              [[maybe_unused]] double total_weight,
-                             const double* value_lut, double* out) {
+                             const float* value_table, double* out) {
   CLUSTAGG_CHECK(u < p.n && v0 <= v1 && v1 <= p.n);
 #if defined(CLUSTAGG_HAVE_AVX2_KERNEL)
   if (UseAvx2(p)) {
@@ -318,39 +430,17 @@ void PackedMismatchRowDouble(const PackedLabels& p, std::size_t u,
     return;
   }
 #endif
-  if (p.words_per_object == 1) {
-    RowFillSingleWord(p, u, v0, v1, value_lut, out);
-  } else {
-    RowFillGeneral(p, u, v0, v1, value_lut, out);
-  }
+  RowFill(p, u, v0, v1, value_table, out);
 }
 
 void PackedAgreementRow(const PackedLabels& p, std::size_t u, std::size_t v0,
-                        std::size_t v1, char* agree) {
+                        std::size_t v1, const float* value_table,
+                        char* agree) {
   CLUSTAGG_CHECK(u < p.n && v0 <= v1 && v1 <= p.n);
-  const std::size_t m = p.m;
-  if (p.words_per_object == 1) {
-    const PackedClass& c = p.classes[0];
-    const std::uint64_t uw = p.words[u];
-    const std::uint64_t* vw = p.words.data() + v0;
-    const std::size_t count = v1 - v0;
-    const bool mul = p.mul_count_ok;
-    const std::uint32_t shift = p.mul_shift;
-    for (std::size_t i = 0; i < count; ++i) {
-      if ((i & 31u) == 0 && i + 64 < count) {
-        __builtin_prefetch(vw + i + 64, 0, 0);
-      }
-      const std::uint64_t collapsed =
-          CollapseToLaneLsb(uw ^ vw[i], c.width, c.lsb_mask);
-      const std::size_t mismatches =
-          mul ? (collapsed * c.lsb_mask) >> shift : Popcount64(collapsed);
-      agree[i] = 2 * mismatches < m ? 1 : 0;
-    }
-    return;
-  }
-  for (std::size_t v = v0; v < v1; ++v) {
-    agree[v - v0] = 2 * CountMismatchesPacked(p, u, v) < m ? 1 : 0;
-  }
+  RowWalk(p, u, v0, v1, [&](std::size_t i, std::size_t index) {
+    agree[i] = value_table[index] < 0.5f ? 1 : 0;
+  });
+  if (v0 <= u && u < v1) agree[u - v0] = 1;
 }
 
 }  // namespace clustagg::internal

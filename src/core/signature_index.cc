@@ -52,10 +52,10 @@ SignatureIndex SignatureIndex::BuildImpl(
     }
   }
 
-  // Packed signature rows: only whole-row *equality* matters here, so
-  // the kMissing sentinel packs like any other symbol and the packed
-  // words can stand in for the rows in both hashing and the collision
-  // check (the per-column remap is injective). Grouping and signature
+  // Packed signature rows: only whole-row *equality* matters here, and
+  // the per-column remap (kMissing -> code 0 in columns that hold it)
+  // is injective, so the packed words can stand in for the rows in both
+  // hashing and the collision check. Grouping and signature
   // numbering are identical either way — the packed path is ~m fewer
   // word ops per object for hashing and per candidate for comparison.
   std::unique_ptr<internal::PackedLabels> packed;

@@ -15,7 +15,7 @@ namespace {
 
 /// Poll the RunContext once per this many candidate steps: frequent
 /// enough that a deadline stops a chain within microseconds, cheap
-/// enough that the packed fast path stays ALU-bound.
+/// enough that the packed point query stays ALU-bound.
 constexpr std::uint64_t kPollInterval = 64;
 
 }  // namespace

@@ -141,10 +141,10 @@ double StreamAggregator::PairDistanceRaw(double disagreeing,
   // Mirror of ColumnDistance (src/core/distance_source.cc): the counters
   // were accumulated in ascending clustering order, so finishing with the
   // same policy arithmetic reproduces the batch value bit for bit. The
-  // batch kernels' uniform-no-missing mismatch-count fast path needs no
-  // twin here: with unit weights the counters are exact integer sums,
-  // opinionated == total_weight_ exactly, and the kRandomCoin correction
-  // adds exactly 0.0 — the argument on DistanceColumns applies verbatim.
+  // batch kernels' packed (d, o) value table needs no twin here: its
+  // entries are this arithmetic evaluated on the exact integer sums that
+  // unit weights produce, so the argument on DistanceColumns applies
+  // verbatim.
   if (total_weight_ == 0.0) return 0.0;
   switch (options_.missing.policy) {
     case MissingValuePolicy::kRandomCoin:

@@ -456,9 +456,39 @@ TEST(PackedKernelTest, PackingEligibilityFollowsInstanceShape) {
     return (*lazy)->uses_packed_labels();
   };
   EXPECT_TRUE(packed_of(RandomInput(20, 5, 4, 3)));
-  // A missing label or a non-unit weight must fall back automatically.
-  EXPECT_FALSE(packed_of(RandomInput(20, 5, 4, 3, 0.2)));
+  // Missing labels pack (code 0 marks them); a non-unit weight must
+  // fall back to the general loop automatically.
+  EXPECT_TRUE(packed_of(RandomInput(20, 5, 4, 3, 0.2)));
   EXPECT_FALSE(packed_of(RandomInput(20, 5, 4, 3, 0.0, true)));
+}
+
+TEST(PackedKernelTest, OversizedValueTableKeepsGeneralLoop) {
+  // m = 1100 clusterings, each with a missing cell: the (d, o) table
+  // would need (1100 + 1)^2 entries, past the 2^20 cap, so the source
+  // keeps the general loop — and still answers like the reference.
+  const std::size_t m = 1100;
+  std::vector<Clustering> clusterings;
+  Rng rng(83);
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<Clustering::Label> labels(6);
+    for (std::size_t v = 0; v < 6; ++v) {
+      labels[v] = static_cast<Clustering::Label>(rng.NextBounded(3));
+    }
+    labels[i % 6] = Clustering::kMissing;
+    clusterings.emplace_back(std::move(labels));
+  }
+  const ClusteringSet input = *ClusteringSet::Create(std::move(clusterings));
+  TierOverride guard(internal::PackedKernelTier::kSwar);
+  Result<std::shared_ptr<const LazyDistanceSource>> lazy =
+      LazyDistanceSource::Build(input, {});
+  ASSERT_TRUE(lazy.ok());
+  EXPECT_FALSE((*lazy)->uses_packed_labels());
+  for (std::size_t u = 0; u < 6; ++u) {
+    for (std::size_t v = 0; v < 6; ++v) {
+      EXPECT_EQ((*lazy)->distance(u, v),
+                static_cast<float>(input.PairwiseDistance(u, v)));
+    }
+  }
 }
 
 TEST(PackedKernelTest, PortableTierNeverPacks) {
@@ -499,18 +529,153 @@ TEST(PackedKernelTest, AgreementRowMatchesThresholdedDistances) {
 TEST(PackedKernelTest, SignatureGroupingTierInvariant) {
   // SignatureIndex hashes packed rows when a tier enables packing; the
   // grouping (including kMissing treated as an ordinary symbol) must
-  // not depend on the tier.
-  const ClusteringSet input = RandomInput(40, 4, 3, 29, 0.2);
-  std::vector<std::vector<std::size_t>> groupings;
-  for (internal::PackedKernelTier tier : AllTiers()) {
-    TierOverride guard(tier);
-    const SignatureIndex index = SignatureIndex::Build(input);
-    std::vector<std::size_t> sig(40);
-    for (std::size_t v = 0; v < 40; ++v) sig[v] = index.signature_of(v);
-    groupings.push_back(std::move(sig));
+  // not depend on the tier. The second input is missing-heavy with 16
+  // present symbols per column, so the reserved missing code pushes
+  // every lane from 4 to 8 bits.
+  for (const ClusteringSet& input :
+       {RandomInput(40, 4, 3, 29, 0.2), RandomInput(120, 9, 16, 31, 0.6)}) {
+    const std::size_t n = input.num_objects();
+    std::vector<std::vector<std::size_t>> groupings;
+    for (internal::PackedKernelTier tier : AllTiers()) {
+      TierOverride guard(tier);
+      const SignatureIndex index = SignatureIndex::Build(input);
+      std::vector<std::size_t> sig(n);
+      for (std::size_t v = 0; v < n; ++v) sig[v] = index.signature_of(v);
+      groupings.push_back(std::move(sig));
+    }
+    EXPECT_EQ(groupings[0], groupings[1]);
+    EXPECT_EQ(groupings[0], groupings[2]);
   }
-  EXPECT_EQ(groupings[0], groupings[1]);
-  EXPECT_EQ(groupings[0], groupings[2]);
+}
+
+/// Every distance of both backends under the active tier, checked
+/// against each other, against FillRow, and against the general
+/// reference ClusteringSet::PairwiseDistance rounded through float.
+std::vector<double> CheckedDistances(const ClusteringSet& input,
+                                     const MissingValueOptions& missing) {
+  const std::size_t n = input.num_objects();
+  const BackendPair pair = BuildBoth(input, missing);
+  std::vector<double> flat;
+  std::vector<double> dense_row(n);
+  std::vector<double> lazy_row(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    pair.dense.source()->FillRow(u, dense_row);
+    pair.lazy.source()->FillRow(u, lazy_row);
+    for (std::size_t v = 0; v < n; ++v) {
+      const double d = pair.lazy.distance(u, v);
+      const double reference = static_cast<float>(
+          input.PairwiseDistance(u, v, missing));
+      EXPECT_EQ(d, reference) << "u=" << u << " v=" << v;
+      EXPECT_EQ(pair.dense.distance(u, v), d) << "u=" << u << " v=" << v;
+      EXPECT_EQ(dense_row[v], d) << "u=" << u << " v=" << v;
+      EXPECT_EQ(lazy_row[v], d) << "u=" << u << " v=" << v;
+      flat.push_back(d);
+    }
+  }
+  return flat;
+}
+
+TEST(PackedKernelTest, MissingLabelsBitIdenticalAcrossTiersAndBackends) {
+  // Sparse, moderate and nearly-all missing cells, under both policies
+  // (the coin at 0.5 and 0.3): every tier, both backends, and the
+  // general reference answer with the same bits. m = 9 at 8 symbols
+  // packs one word per object (the flattened point query); m = 22
+  // packs several (the multi-word walk).
+  for (const double missing_rate : {0.03, 0.25, 0.9}) {
+    for (const std::size_t m : {9u, 22u}) {
+      const ClusteringSet input = RandomInput(40, m, 8, 61, missing_rate);
+      for (const MissingValueOptions& missing : MissingConfigs()) {
+        std::vector<std::vector<double>> per_tier;
+        for (internal::PackedKernelTier tier : AllTiers()) {
+          SCOPED_TRACE("rate=" + std::to_string(missing_rate) + " m=" +
+                       std::to_string(m) + " tier=" +
+                       internal::PackedKernelTierName(tier));
+          TierOverride guard(tier);
+          per_tier.push_back(CheckedDistances(input, missing));
+        }
+        EXPECT_EQ(per_tier[0], per_tier[1]);
+        EXPECT_EQ(per_tier[0], per_tier[2]);
+      }
+    }
+  }
+}
+
+/// An input with an all-missing column (clustering 2) and an
+/// all-missing row (object 5): every pair touching object 5 has o = 0.
+ClusteringSet AllMissingColumnAndRowInput(std::size_t m) {
+  ClusteringSet base = RandomInput(24, m, 5, 67, 0.2);
+  std::vector<Clustering> clusterings;
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<Clustering::Label> labels(24);
+    for (std::size_t v = 0; v < 24; ++v) {
+      labels[v] = (i == 2 || v == 5) ? Clustering::kMissing
+                                     : base.clustering(i).label(v);
+    }
+    clusterings.emplace_back(std::move(labels));
+  }
+  return *ClusteringSet::Create(std::move(clusterings));
+}
+
+TEST(PackedKernelTest, AllMissingColumnAndRow) {
+  for (const std::size_t m : {3u, 9u, 22u}) {
+    const ClusteringSet input = AllMissingColumnAndRowInput(m);
+    for (const MissingValueOptions& missing : MissingConfigs()) {
+      std::vector<std::vector<double>> per_tier;
+      for (internal::PackedKernelTier tier : AllTiers()) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " tier=" +
+                     internal::PackedKernelTierName(tier));
+        TierOverride guard(tier);
+        per_tier.push_back(CheckedDistances(input, missing));
+        const BackendPair pair = BuildBoth(input, missing);
+        // o = 0: kIgnore has no opinion to go on and answers 1/2;
+        // kRandomCoin charges every clustering its coin.
+        const double expected =
+            missing.policy == MissingValuePolicy::kIgnore
+                ? 0.5
+                : static_cast<float>(1.0 -
+                                     missing.coin_together_probability);
+        for (std::size_t v = 0; v < 24; ++v) {
+          EXPECT_EQ(pair.lazy.distance(5, v), v == 5 ? 0.0 : expected);
+        }
+      }
+      EXPECT_EQ(per_tier[0], per_tier[1]);
+      EXPECT_EQ(per_tier[0], per_tier[2]);
+    }
+  }
+}
+
+TEST(PackedKernelTest, AgreementRowMatchesThresholdedDistancesWithMissing) {
+  // The packed agreement row reads the same (d, o) value table as the
+  // distances, so it must match the thresholded distances exactly under
+  // every policy — including o = 0 pairs, where kIgnore's 1/2 is not an
+  // agreement, and u itself, which always agrees.
+  std::vector<ClusteringSet> inputs;
+  inputs.push_back(RandomInput(33, 6, 5, 17, 0.4));
+  inputs.push_back(RandomInput(33, 22, 3, 19, 0.25));
+  inputs.push_back(AllMissingColumnAndRowInput(9));
+  for (const ClusteringSet& input : inputs) {
+    const std::size_t n = input.num_objects();
+    for (const MissingValueOptions& missing : MissingConfigs()) {
+      for (internal::PackedKernelTier tier : AllTiers()) {
+        TierOverride guard(tier);
+        const BackendPair pair = BuildBoth(input, missing);
+        for (const CorrelationInstance* instance :
+             {&pair.dense, &pair.lazy}) {
+          std::vector<char> agree(n);
+          for (std::size_t u = 0; u < n; ++u) {
+            instance->source()->AgreementRow(u, agree);
+            for (std::size_t v = 0; v < n; ++v) {
+              const bool expected = instance->distance(u, v) < 0.5;
+              EXPECT_EQ(agree[v] != 0, expected)
+                  << instance->backend_name() << " tier="
+                  << internal::PackedKernelTierName(tier) << " u=" << u
+                  << " v=" << v;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SymmetricMatrixCreateTest, SucceedsForNormalSizes) {

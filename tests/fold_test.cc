@@ -339,6 +339,47 @@ TEST(FoldAggregateTest, ExactFoldedMatchesExactUnfoldedOnNoisyInput) {
   EXPECT_EQ(plain->total_disagreements, folded->total_disagreements);
 }
 
+TEST(FoldAggregateTest, ExactSizeGateDecidesOnFoldedSignatures) {
+  // n = 2000 objects under three random binary clusterings fold to at
+  // most 2^3 = 8 signatures, well inside EXACT's reach. The tractability
+  // check must look at those s signatures, not the n objects: deciding
+  // on n fell back to BALLS + LOCALSEARCH and returned a worse D
+  // (1998098 here) with outcome fell_back.
+  Rng rng(2000);
+  std::vector<Clustering> clusterings;
+  for (int i = 0; i < 3; ++i) {
+    std::vector<Clustering::Label> labels(2000);
+    for (Clustering::Label& label : labels) {
+      label = static_cast<Clustering::Label>(rng.NextBounded(2));
+    }
+    clusterings.emplace_back(std::move(labels));
+  }
+  const ClusteringSet input = *ClusteringSet::Create(std::move(clusterings));
+  AggregatorOptions options;
+  options.algorithm = AggregationAlgorithm::kExact;
+  options.fold = true;
+  Result<AggregationResult> folded = Aggregate(input, options);
+  ASSERT_TRUE(folded.ok()) << folded.status();
+  EXPECT_TRUE(folded->folded);
+  EXPECT_EQ(folded->fold_signatures, 8u);
+  EXPECT_EQ(folded->outcome, RunOutcome::kConverged);
+  EXPECT_TRUE(folded->fallbacks.empty());
+  EXPECT_EQ(folded->total_disagreements, 1996804.0);
+  // The same optimum the solver reaches with fallbacks disabled.
+  options.allow_fallbacks = false;
+  Result<AggregationResult> strict = Aggregate(input, options);
+  ASSERT_TRUE(strict.ok()) << strict.status();
+  EXPECT_EQ(strict->total_disagreements, folded->total_disagreements);
+  EXPECT_EQ(strict->clustering, folded->clustering);
+  // Unfolded, n = 2000 really is beyond EXACT: the fallback still fires.
+  options.allow_fallbacks = true;
+  options.fold = false;
+  Result<AggregationResult> unfolded = Aggregate(input, options);
+  ASSERT_TRUE(unfolded.ok()) << unfolded.status();
+  EXPECT_EQ(unfolded->outcome, RunOutcome::kFellBack);
+  EXPECT_EQ(unfolded->fallbacks.size(), 1u);
+}
+
 TEST(FoldAggregateTest, FoldIsANoOpWhenEveryObjectIsUnique) {
   // All-distinct signatures: the fold must report s == n, set
   // folded = false, and take exactly the unfolded build path, so the

@@ -426,11 +426,12 @@ class TierOverride {
 
 /// All pairwise lazy distances of `input` computed under `tier`, via
 /// both the point-query path and FillRow (which must agree).
-std::vector<double> LazyDistancesAtTier(const ClusteringSet& input,
-                                        internal::PackedKernelTier tier) {
+std::vector<double> LazyDistancesAtTier(
+    const ClusteringSet& input, internal::PackedKernelTier tier,
+    const MissingValueOptions& missing = {}) {
   TierOverride guard(tier);
   Result<std::shared_ptr<const LazyDistanceSource>> lazy =
-      LazyDistanceSource::Build(input, {});
+      LazyDistanceSource::Build(input, missing);
   EXPECT_TRUE(lazy.ok()) << lazy.status().message();
   const std::size_t n = input.num_objects();
   std::vector<double> flat;
@@ -442,6 +443,25 @@ std::vector<double> LazyDistancesAtTier(const ClusteringSet& input,
       const double d = (*lazy)->distance(u, v);
       EXPECT_EQ(row[v], d) << "u=" << u << " v=" << v;
       flat.push_back(d);
+    }
+  }
+  return flat;
+}
+
+/// All pairwise distances of a dense source built under `tier`.
+std::vector<double> DenseDistancesAtTier(const ClusteringSet& input,
+                                         internal::PackedKernelTier tier,
+                                         const MissingValueOptions& missing) {
+  TierOverride guard(tier);
+  Result<std::shared_ptr<const DenseDistanceSource>> dense =
+      DenseDistanceSource::Build(input, missing);
+  EXPECT_TRUE(dense.ok()) << dense.status().message();
+  const std::size_t n = input.num_objects();
+  std::vector<double> flat;
+  flat.reserve(n * n);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = 0; v < n; ++v) {
+      flat.push_back((*dense)->distance(u, v));
     }
   }
   return flat;
@@ -518,10 +538,11 @@ TEST(PackedKernelProperty, MixedWidthBoundaryFuzz) {
   }
 }
 
-// (p3) Eligibility: instances with missing labels or non-unit weights
-// must fall back to the byte loop automatically — and still answer
-// identically across tiers (the tiers then share one code path).
-TEST(PackedKernelProperty, MissingAndWeightedInstancesFallBack) {
+// (p3) Eligibility: instances with missing labels pack (code 0 marks
+// the missing cell), instances with non-unit weights fall back to the
+// general loop automatically — and both answer identically across
+// tiers.
+TEST(PackedKernelProperty, MissingInstancesPackAndWeightedFallBack) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     SCOPED_TRACE("seed = " + std::to_string(seed));
     Rng rng(seed);
@@ -550,13 +571,16 @@ TEST(PackedKernelProperty, MissingAndWeightedInstancesFallBack) {
           Result<std::shared_ptr<const LazyDistanceSource>> lazy =
               LazyDistanceSource::Build(input, {});
           ASSERT_TRUE(lazy.ok());
-          EXPECT_FALSE((*lazy)->uses_packed_labels());
+          EXPECT_EQ((*lazy)->uses_packed_labels(), !weighted);
         }
         const std::vector<double> portable = LazyDistancesAtTier(
             input, internal::PackedKernelTier::kPortable);
         EXPECT_EQ(portable,
                   LazyDistancesAtTier(input,
                                       internal::PackedKernelTier::kSwar));
+        EXPECT_EQ(portable,
+                  LazyDistancesAtTier(input,
+                                      internal::PackedKernelTier::kAvx2));
       }
     }
   }
@@ -631,6 +655,170 @@ TEST(PackedKernelProperty, PackedCountMatchesReferenceCount) {
         EXPECT_EQ(internal::CountMismatchesPacked(*packed, u, v),
                   expected)
             << "u=" << u << " v=" << v;
+      }
+    }
+  }
+}
+
+/// Like AlphabetInput, but every column also holds missing cells:
+/// objects 0..k-1 carry the k present symbols, object k is missing (so
+/// the column always reserves the missing code), and the rest are
+/// missing with probability missing_rate, else uniform. n must exceed
+/// every alphabet size.
+ClusteringSet MissingAlphabetInput(std::size_t n,
+                                   const std::vector<std::size_t>& alphabets,
+                                   double missing_rate, Rng* rng) {
+  std::vector<Clustering> inputs;
+  for (std::size_t k : alphabets) {
+    EXPECT_LT(k, n);
+    std::vector<Clustering::Label> labels(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      if (v < k) {
+        labels[v] = static_cast<Clustering::Label>(v);
+      } else if (v == k || rng->NextBernoulli(missing_rate)) {
+        labels[v] = Clustering::kMissing;
+      } else {
+        labels[v] = static_cast<Clustering::Label>(rng->NextBounded(k));
+      }
+    }
+    inputs.emplace_back(std::move(labels));
+  }
+  Result<ClusteringSet> set = ClusteringSet::Create(std::move(inputs));
+  EXPECT_TRUE(set.ok()) << set.status().message();
+  return *std::move(set);
+}
+
+/// Both missing-value policies, the coin at its default 0.5 and at 0.3.
+std::vector<MissingValueOptions> AllMissingPolicies() {
+  MissingValueOptions coin_half;
+  MissingValueOptions coin_biased;
+  coin_biased.coin_together_probability = 0.3;
+  MissingValueOptions ignore;
+  ignore.policy = MissingValuePolicy::kIgnore;
+  return {coin_half, coin_biased, ignore};
+}
+
+// (p7) Missing-aware packing: across missing rates from sparse to
+// nearly empty, per-column alphabets on both sides of every lane width
+// the extra missing code can push over (15|16 and 255|256 present
+// symbols), and both policies, the packed tiers answer bit-identically
+// to the general loop on the lazy point query, on FillRow, and in the
+// dense build.
+TEST(PackedKernelProperty, MissingAwareSweepMatchesGeneralLoop) {
+  const std::size_t boundary_sizes[] = {1, 2, 3, 4, 7, 8, 15, 16,
+                                        17, 255, 256};
+  for (const double missing_rate : {0.03, 0.25, 0.9}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE("missing_rate = " + std::to_string(missing_rate) +
+                   ", seed = " + std::to_string(seed));
+      Rng rng(seed);
+      const std::size_t m = 1 + rng.NextBounded(12);
+      std::vector<std::size_t> alphabets(m);
+      std::size_t widest = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        alphabets[i] = boundary_sizes[rng.NextBounded(
+            sizeof(boundary_sizes) / sizeof(boundary_sizes[0]))];
+        widest = std::max(widest, alphabets[i]);
+      }
+      const std::size_t n = widest + 2 + rng.NextBounded(40);
+      const ClusteringSet input =
+          MissingAlphabetInput(n, alphabets, missing_rate, &rng);
+      for (const MissingValueOptions& missing : AllMissingPolicies()) {
+        const std::vector<double> portable = LazyDistancesAtTier(
+            input, internal::PackedKernelTier::kPortable, missing);
+        for (internal::PackedKernelTier tier :
+             {internal::PackedKernelTier::kPortable,
+              internal::PackedKernelTier::kSwar,
+              internal::PackedKernelTier::kAvx2}) {
+          SCOPED_TRACE(internal::PackedKernelTierName(tier));
+          EXPECT_EQ(portable, LazyDistancesAtTier(input, tier, missing));
+          EXPECT_EQ(portable, DenseDistancesAtTier(input, tier, missing));
+        }
+      }
+    }
+  }
+}
+
+// (p8) Lane widths under the missing code: a column with k present
+// symbols and a missing cell needs k + 1 codes, so 15 present symbols
+// still fit 4-bit lanes but 16 need 8, and 255 fit 8-bit lanes but 256
+// need 16. Without a missing cell the widths stay where they were.
+TEST(PackedKernelProperty, MissingCodeCrossesLaneWidths) {
+  const auto width_of = [](std::size_t k, bool with_missing) {
+    std::vector<Clustering::Label> rows;
+    for (std::size_t v = 0; v < k; ++v) {
+      rows.push_back(static_cast<Clustering::Label>(v));
+    }
+    if (with_missing) rows.push_back(Clustering::kMissing);
+    std::unique_ptr<internal::PackedLabels> packed =
+        internal::PackLabelRows(rows.data(), rows.size(), 1);
+    EXPECT_NE(packed, nullptr);
+    EXPECT_EQ(packed->missing_aware(), with_missing);
+    return packed->classes[0].width;
+  };
+  EXPECT_EQ(width_of(15, true), 4u);
+  EXPECT_EQ(width_of(16, true), 8u);
+  EXPECT_EQ(width_of(16, false), 4u);
+  EXPECT_EQ(width_of(255, true), 8u);
+  EXPECT_EQ(width_of(256, true), 16u);
+  EXPECT_EQ(width_of(256, false), 8u);
+  // 2^16 codes is the limit whether or not one of them is the missing
+  // code.
+  const std::size_t limit = std::size_t{1} << 16;
+  std::vector<Clustering::Label> rows(limit);
+  for (std::size_t v = 0; v + 1 < limit; ++v) {
+    rows[v] = static_cast<Clustering::Label>(v);
+  }
+  rows[limit - 1] = Clustering::kMissing;
+  EXPECT_NE(internal::PackLabelRows(rows.data(), limit, 1), nullptr);
+  rows.push_back(static_cast<Clustering::Label>(limit));
+  EXPECT_EQ(internal::PackLabelRows(rows.data(), limit + 1, 1), nullptr);
+}
+
+// (p9) The packed (d, o) is exactly the general loop's pair of integers
+// for every pair — disagreeing clusterings with both labels present,
+// and clusterings with both present — checked against a reference count
+// over the original rows, and its table index stays inside the table.
+TEST(PackedKernelProperty, PackedPairCountsMatchReferenceCounts) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed = " + std::to_string(seed));
+    Rng rng(seed);
+    const std::size_t n = 8 + rng.NextBounded(40);
+    const std::size_t m = 1 + rng.NextBounded(24);
+    const double missing_rate = 0.05 + 0.9 * rng.NextDouble();
+    std::vector<Clustering::Label> rows(n * m);
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t k = 1 + rng.NextBounded(300);
+      for (std::size_t v = 0; v < n; ++v) {
+        rows[v * m + i] = rng.NextBernoulli(missing_rate)
+                              ? Clustering::kMissing
+                              : static_cast<Clustering::Label>(
+                                    rng.NextBounded(k));
+      }
+    }
+    std::unique_ptr<internal::PackedLabels> packed =
+        internal::PackLabelRows(rows.data(), n, m);
+    ASSERT_NE(packed, nullptr);
+    for (std::size_t u = 0; u < n; ++u) {
+      for (std::size_t v = 0; v < n; ++v) {
+        std::size_t disagree = 0;
+        std::size_t opinionated = 0;
+        for (std::size_t i = 0; i < m; ++i) {
+          const Clustering::Label lu = rows[u * m + i];
+          const Clustering::Label lv = rows[v * m + i];
+          if (lu == Clustering::kMissing || lv == Clustering::kMissing) {
+            continue;
+          }
+          ++opinionated;
+          if (lu != lv) ++disagree;
+        }
+        const internal::PackedPairCounts counts =
+            internal::CountPairPacked(*packed, u, v);
+        EXPECT_EQ(counts.disagree, disagree) << "u=" << u << " v=" << v;
+        EXPECT_EQ(counts.opinionated, opinionated)
+            << "u=" << u << " v=" << v;
+        EXPECT_LT(internal::PackedValueIndex(*packed, u, v),
+                  internal::PackedValueTableSize(*packed));
       }
     }
   }
