@@ -13,6 +13,7 @@
 #   ci/sanitize.sh native                               # packed kernel
 #   ci/sanitize.sh undefined                            # UBSan
 #   ci/sanitize.sh local                                # membership oracle
+#   ci/sanitize.sh scoring                              # label counting
 #
 # `native` is a special leg, not a label regex: it builds once with
 # CLUSTAGG_NATIVE=ON (compiling the AVX2 packed-label kernel) under
@@ -23,10 +24,16 @@
 #
 # `undefined` is a special leg too: one CLUSTAGG_SANITIZE=undefined
 # build (GCC's -fsanitize=undefined, every report fatal) running the
-# backend-equivalence, property and local-oracle suites. The packed
-# label kernels are all shifts, lane masks and multiplies — exactly
-# where undefined behaviour hides — and those suites drive them through
-# every lane width, missing-aware and mismatch-only layouts alike.
+# backend-equivalence, property, local-oracle and scoring suites. The
+# packed label kernels are all shifts, lane masks and multiplies —
+# exactly where undefined behaviour hides — and those suites drive them
+# through every lane width, missing-aware and mismatch-only layouts
+# alike. The scoring suites index flat count tables by label value and
+# take the sort-unique fallback for labels up to kMaxParsedLabel.
+#
+# The scoring leg (label `scoring`) runs the disagreement, cost and
+# SAMPLING suites under ASan and TSan: an out-of-range label column or
+# a stale table offset is an out-of-bounds access ASan reports.
 #
 # The local leg runs the membership-oracle suites (labels `local` and
 # `differential`): many threads share one oracle and race its LRU memo,
@@ -94,7 +101,7 @@ if [ "$1" = "undefined" ]; then
   cmake -B "$BUILD" -S "$ROOT" -DCLUSTAGG_SANITIZE=undefined \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build "$BUILD" -j"$JOBS"
-  (cd "$BUILD" && ctest -L 'backend|property|local' --no-tests=error \
+  (cd "$BUILD" && ctest -L 'backend|property|local|scoring' --no-tests=error \
        --output-on-failure -j"$JOBS")
   echo "sanitize: undefined leg passed"
   exit 0

@@ -265,8 +265,10 @@ Result<AggregationResult> Aggregate(const ClusteringSet& input,
   Result<double> disagreements =
       input.TotalDisagreements(*clustering, options.missing);
   if (!disagreements.ok()) return disagreements.status();
-  TelemetrySetGauge(telemetry, "aggregate.clusters",
-                    static_cast<std::int64_t>(clustering->NumClusters()));
+  if (telemetry != nullptr) {
+    TelemetrySetGauge(telemetry, "aggregate.clusters",
+                      static_cast<std::int64_t>(clustering->NumClusters()));
+  }
   out.clustering = std::move(*clustering);
   out.total_disagreements = *disagreements;
   return out;

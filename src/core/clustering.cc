@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 
 #include "common/check.h"
+#include "core/internal/label_counts.h"
 
 namespace clustagg {
 
@@ -61,23 +61,13 @@ std::size_t Clustering::CountMissing() const {
 }
 
 std::size_t Clustering::NumClusters() const {
-  std::vector<Label> seen(labels_);
-  seen.erase(std::remove(seen.begin(), seen.end(), kMissing), seen.end());
-  std::sort(seen.begin(), seen.end());
-  seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-  return seen.size();
+  return internal::DenseLabels().Remap(labels_.data(), labels_.size(),
+                                       nullptr);
 }
 
 void Clustering::Normalize() {
-  std::unordered_map<Label, Label> remap;
-  remap.reserve(64);
-  Label next = 0;
-  for (auto& label : labels_) {
-    if (label == kMissing) continue;
-    auto [it, inserted] = remap.try_emplace(label, next);
-    if (inserted) ++next;
-    label = it->second;
-  }
+  internal::DenseLabels().Remap(labels_.data(), labels_.size(),
+                                labels_.data());
 }
 
 Clustering Clustering::Normalized() const {
@@ -87,25 +77,21 @@ Clustering Clustering::Normalized() const {
 }
 
 std::vector<std::vector<std::size_t>> Clustering::Clusters() const {
-  const Clustering norm = Normalized();
-  std::vector<std::vector<std::size_t>> out(norm.NumClusters());
-  for (std::size_t v = 0; v < norm.size(); ++v) {
-    if (norm.labels_[v] != kMissing) {
-      out[static_cast<std::size_t>(norm.labels_[v])].push_back(v);
-    }
+  std::vector<Label> ids(labels_.size());
+  const std::size_t k = internal::DenseLabels().Remap(
+      labels_.data(), labels_.size(), ids.data());
+  std::vector<std::vector<std::size_t>> out(k);
+  for (std::size_t v = 0; v < ids.size(); ++v) {
+    if (ids[v] != kMissing) out[static_cast<std::size_t>(ids[v])].push_back(v);
   }
   return out;
 }
 
 std::vector<std::size_t> Clustering::ClusterSizes() const {
-  const Clustering norm = Normalized();
-  std::vector<std::size_t> sizes(norm.NumClusters(), 0);
-  for (std::size_t v = 0; v < norm.size(); ++v) {
-    if (norm.labels_[v] != kMissing) {
-      ++sizes[static_cast<std::size_t>(norm.labels_[v])];
-    }
-  }
-  return sizes;
+  std::vector<std::uint32_t> sizes;
+  internal::DenseLabels().Remap(labels_.data(), labels_.size(), nullptr,
+                                &sizes);
+  return std::vector<std::size_t>(sizes.begin(), sizes.end());
 }
 
 Clustering Clustering::Restrict(const std::vector<std::size_t>& subset) const {

@@ -62,8 +62,8 @@ class Clustering {
   /// Number of missing labels. O(n).
   std::size_t CountMissing() const;
 
-  /// Number of distinct non-missing labels. O(n) (O(n log n) if labels are
-  /// not normalized).
+  /// Number of distinct non-missing labels. O(n) (O(n log n) only when
+  /// the labels are sparse: the largest one is above about 2n).
   std::size_t NumClusters() const;
 
   /// True iff u and v both have labels and the labels are equal.

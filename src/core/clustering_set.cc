@@ -4,7 +4,7 @@
 #include <string>
 
 #include "common/check.h"
-#include "core/disagreement.h"
+#include "core/internal/label_counts.h"
 
 namespace clustagg {
 
@@ -13,10 +13,8 @@ ClusteringSet::ClusteringSet(std::vector<Clustering> clusterings,
     : clusterings_(std::move(clusterings)), weights_(std::move(weights)) {
   num_objects_ = clusterings_.front().size();
   for (const Clustering& c : clusterings_) {
-    if (c.HasMissing()) {
-      has_missing_ = true;
-      break;
-    }
+    max_labels_.push_back(internal::MaxLabel(c.labels().data(), c.size()));
+    has_missing_ = has_missing_ || c.HasMissing();
   }
   if (weights_.empty()) weights_.assign(clusterings_.size(), 1.0);
   for (double w : weights_) total_weight_ += w;
@@ -93,55 +91,35 @@ Result<double> ClusteringSet::TotalDisagreements(
         "candidate clustering must be complete (no missing labels)");
   }
 
-  if (!has_missing_ && missing.policy == MissingValuePolicy::kRandomCoin) {
-    // Fast exact path: weighted sum of contingency-table distances.
-    double total = 0.0;
-    for (std::size_t i = 0; i < clusterings_.size(); ++i) {
-      Result<std::uint64_t> d =
-          DisagreementDistance(clusterings_[i], candidate);
-      if (!d.ok()) return d.status();
-      total += weights_[i] * static_cast<double>(*d);
-    }
-    return total;
-  }
-
   if (missing.policy == MissingValuePolicy::kRandomCoin) {
-    // Per-clustering decomposition, still O(m * (n + K^2)). A clustering
-    // disagrees exactly (0/1) on the pairs where both endpoints have
-    // labels. On a pair touching a missing label the coin reports
-    // "together" with probability p, so the expected disagreement is
-    // (1 - p) when the candidate joins the pair and p when it splits it.
+    // Per-clustering decomposition, O(n) per clustering by counting its
+    // labels against the candidate's. A clustering disagrees exactly
+    // (0/1) on the pairs where both endpoints have labels. On a pair
+    // touching a missing label the coin reports "together" with
+    // probability p, so the expected disagreement is (1 - p) when the
+    // candidate joins the pair and p when it splits it. A complete
+    // clustering has no such pairs and contributes exactly its
+    // disagreement distance.
     const auto n64 = static_cast<std::uint64_t>(num_objects_);
     const double all_pairs = 0.5 * static_cast<double>(n64) *
                              static_cast<double>(n64 - 1);
     const double p = missing.coin_together_probability;
-    Result<std::uint64_t> candidate_together = CoClusteredPairs(candidate);
-    if (!candidate_together.ok()) return candidate_together.status();
+    internal::PairCounter counter(candidate);
+    const std::vector<internal::PairCounts> all =
+        counter.Count(clusterings_, max_labels_);
     double total = 0.0;
     for (std::size_t i = 0; i < clusterings_.size(); ++i) {
-      const Clustering& c = clusterings_[i];
-      std::vector<std::size_t> present;
-      present.reserve(num_objects_);
-      for (std::size_t v = 0; v < num_objects_; ++v) {
-        if (c.has_label(v)) present.push_back(v);
-      }
-      const auto np = static_cast<double>(present.size());
+      const internal::PairCounts& counts = all[i];
+      const auto np = static_cast<double>(counts.present);
       const double present_pairs = 0.5 * np * (np - 1.0);
-      const Clustering candidate_present = candidate.Restrict(present);
-      Result<std::uint64_t> d =
-          DisagreementDistance(c.Restrict(present), candidate_present);
-      if (!d.ok()) return d.status();
-      Result<std::uint64_t> together_present =
-          CoClusteredPairs(candidate_present);
-      if (!together_present.ok()) return together_present.status();
       // Pairs with a missing endpoint, split by what the candidate does.
       const double missing_pairs = all_pairs - present_pairs;
       const double missing_together =
-          static_cast<double>(*candidate_together - *together_present);
+          static_cast<double>(counter.pairs() - counts.reference_pairs);
       const double missing_apart = missing_pairs - missing_together;
-      total += weights_[i] *
-               (static_cast<double>(*d) + missing_together * (1.0 - p) +
-                missing_apart * p);
+      total += weights_[i] * (static_cast<double>(counts.disagreements()) +
+                              missing_together * (1.0 - p) +
+                              missing_apart * p);
     }
     return total;
   }

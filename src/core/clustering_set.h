@@ -69,8 +69,10 @@ class ClusteringSet {
   /// D(C) = sum_i d(C_i, C): the (expected) total number of pairwise
   /// disagreements of a complete candidate clustering with the inputs.
   /// With complete inputs this is an exact integer; with missing values it
-  /// is the expectation under the policy. O(m * n^2) in general; complete
-  /// inputs use the O(m * (n + K^2)) contingency path.
+  /// is the expectation under the policy. O(m * n) under kRandomCoin: one
+  /// label-counting pass per clustering against the candidate, grouped
+  /// by cluster once. O(m * n^2) under kIgnore, whose per-pair
+  /// normalization does not decompose by clustering.
   Result<double> TotalDisagreements(
       const Clustering& candidate,
       const MissingValueOptions& missing = {}) const;
@@ -81,6 +83,8 @@ class ClusteringSet {
 
   std::vector<Clustering> clusterings_;
   std::vector<double> weights_;
+  // Largest label of each clustering: sizes its contingency table.
+  std::vector<Clustering::Label> max_labels_;
   double total_weight_ = 0.0;
   std::size_t num_objects_ = 0;
   bool has_missing_ = false;

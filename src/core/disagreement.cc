@@ -1,7 +1,8 @@
 #include "core/disagreement.h"
 
-#include <unordered_map>
 #include <vector>
+
+#include "core/internal/label_counts.h"
 
 namespace clustagg {
 
@@ -19,12 +20,6 @@ Status CheckComparable(const Clustering& a, const Clustering& b) {
         "ClusteringSet with a missing-value policy instead");
   }
   return Status::OK();
-}
-
-std::uint64_t PairsFromSizes(const std::vector<std::uint64_t>& sizes) {
-  std::uint64_t pairs = 0;
-  for (std::uint64_t s : sizes) pairs += s * (s - 1) / 2;
-  return pairs;
 }
 
 }  // namespace
@@ -47,29 +42,12 @@ Result<std::uint64_t> DisagreementDistanceNaive(const Clustering& a,
 Result<std::uint64_t> DisagreementDistance(const Clustering& a,
                                            const Clustering& b) {
   if (Status s = CheckComparable(a, b); !s.ok()) return s;
-  const Clustering na = a.Normalized();
-  const Clustering nb = b.Normalized();
-  const std::size_t n = na.size();
-  const std::size_t ka = na.NumClusters();
-  const std::size_t kb = nb.NumClusters();
-
-  std::vector<std::uint64_t> sizes_a(ka, 0);
-  std::vector<std::uint64_t> sizes_b(kb, 0);
-  // Contingency counts, indexed cluster-of-a * kb + cluster-of-b. Dense is
-  // fine: the aggregation inputs here have small k.
-  std::vector<std::uint64_t> joint(ka * kb, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto ca = static_cast<std::size_t>(na.label(v));
-    const auto cb = static_cast<std::size_t>(nb.label(v));
-    ++sizes_a[ca];
-    ++sizes_b[cb];
-    ++joint[ca * kb + cb];
-  }
-
-  std::uint64_t joint_pairs = 0;
-  for (std::uint64_t c : joint) joint_pairs += c * (c - 1) / 2;
-
-  return PairsFromSizes(sizes_a) + PairsFromSizes(sizes_b) - 2 * joint_pairs;
+  const Clustering::Label max_label =
+      internal::MaxLabel(a.labels().data(), a.size());
+  return internal::PairCounter(b)
+      .Count({&a, 1}, {&max_label, 1})
+      .front()
+      .disagreements();
 }
 
 Result<std::uint64_t> CoClusteredPairs(const Clustering& c) {
@@ -77,11 +55,9 @@ Result<std::uint64_t> CoClusteredPairs(const Clustering& c) {
     return Status::InvalidArgument(
         "CoClusteredPairs requires a complete clustering");
   }
-  std::unordered_map<Clustering::Label, std::uint64_t> sizes;
-  for (std::size_t v = 0; v < c.size(); ++v) ++sizes[c.label(v)];
-  std::uint64_t pairs = 0;
-  for (const auto& [label, s] : sizes) pairs += s * (s - 1) / 2;
-  return pairs;
+  std::vector<std::uint32_t> sizes;
+  internal::DenseLabels().Remap(c.labels().data(), c.size(), nullptr, &sizes);
+  return internal::PairsWithin(sizes);
 }
 
 }  // namespace clustagg

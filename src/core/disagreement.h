@@ -24,7 +24,9 @@ Result<std::uint64_t> DisagreementDistanceNaive(const Clustering& a,
                                                 const Clustering& b);
 
 /// Pair-counting implementation via the contingency table of the two
-/// clusterings; O(n + K_a * K_b) time. The disagreement count equals
+/// clusterings; O(n) time: b is grouped by cluster with a counting sort
+/// and a's labels are counted within each group (only the nonzero
+/// contingency cells are ever touched). The disagreement count equals
 ///   pairs(a) + pairs(b) - 2 * joint_pairs(a, b)
 /// where pairs(x) is the number of co-clustered pairs of x and
 /// joint_pairs counts pairs co-clustered in both.

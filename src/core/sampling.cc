@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,83 +13,100 @@
 #include "common/stopwatch.h"
 #include "core/correlation_instance.h"
 #include "core/instrumentation.h"
+#include "core/internal/label_counts.h"
 #include "core/signature_index.h"
 
 namespace clustagg {
 
 namespace {
 
-/// Precomputed per-(cluster, input-clustering) label histograms that turn
-/// the assignment-phase sum M(v, C_j) = sum_{u in C_j} X_vu into an O(m)
-/// lookup instead of an O(|C_j| * m) scan:
-///   sum_{u in C_j} [label_i(u) != label_i(v)]
-///     = present_{i,j} - count_{i,j}[label_i(v)],
-/// plus the expected (1 - p) per member without a label under the coin
-/// policy. Only valid for MissingValuePolicy::kRandomCoin (the kIgnore
-/// policy normalizes per pair and does not decompose).
+/// The assignment-phase sums M(v, C_j) = sum_{u in C_j} X_vu as table
+/// rows. Under the coin policy clustering i contributes, for each sample
+/// cluster j,
+///   (present_{i,j} - count_{i,j}[label_i(v)]) + (1 - p) missing_{i,j}
+/// when v has a label, and (1 - p) |C_j| when it has none, so the
+/// contribution depends on v only through label_i(v). Each clustering
+/// gets one k-wide row per dense label its sample members carry, a
+/// default row for every other label (count 0) and a row for an
+/// unlabeled v, each entry holding weight(i) * contribution; M(v, .) is
+/// then m row additions in ascending i followed by the division by the
+/// total weight. The tables take O(m * (members + 2) * k) doubles,
+/// independent of n and of the label range. Only valid for
+/// MissingValuePolicy::kRandomCoin (the kIgnore policy normalizes per
+/// pair and does not decompose).
 class AssignmentIndex {
  public:
   AssignmentIndex(const ClusteringSet& input,
                   const std::vector<std::vector<std::size_t>>& clusters,
                   double coin_together_probability)
-      : input_(input),
-        num_clusterings_(input.num_clusterings()),
-        expected_missing_(1.0 - coin_together_probability) {
-    const std::size_t k = clusters.size();
-    sizes_.resize(k);
-    missing_.assign(k, std::vector<double>(num_clusterings_, 0.0));
-    counts_.assign(k, std::vector<std::unordered_map<Clustering::Label,
-                                                     double>>(
-                          num_clusterings_));
-    for (std::size_t j = 0; j < k; ++j) {
-      sizes_[j] = static_cast<double>(clusters[j].size());
-      for (std::size_t i = 0; i < num_clusterings_; ++i) {
-        const Clustering& c = input.clustering(i);
-        for (std::size_t u : clusters[j]) {
-          if (c.has_label(u)) {
-            counts_[j][i][c.label(u)] += 1.0;
+      : input_(input), k_(clusters.size()), tables_(input.num_clusterings()) {
+    const double expected_missing = 1.0 - coin_together_probability;
+    std::vector<Clustering::Label> member_labels;
+    for (std::size_t i = 0; i < tables_.size(); ++i) {
+      const Clustering& c = input.clustering(i);
+      member_labels.clear();
+      for (const std::vector<std::size_t>& members : clusters) {
+        for (std::size_t u : members) member_labels.push_back(c.label(u));
+      }
+      Table& table = tables_[i];
+      table.rows = table.labels.Remap(member_labels.data(),
+                                      member_labels.size(),
+                                      member_labels.data());
+      // Count first: values[row * k + j] = members of C_j with that
+      // label; the default row (labels no member carries) stays 0.
+      table.values.assign((table.rows + 2) * k_, 0.0);
+      std::vector<double> missing(k_, 0.0);
+      const Clustering::Label* row = member_labels.data();
+      for (std::size_t j = 0; j < k_; ++j) {
+        for (std::size_t t = 0; t < clusters[j].size(); ++t, ++row) {
+          if (*row == Clustering::kMissing) {
+            missing[j] += 1.0;
           } else {
-            missing_[j][i] += 1.0;
+            table.values[static_cast<std::size_t>(*row) * k_ + j] += 1.0;
           }
         }
       }
+      const double w = input.weight(i);
+      for (std::size_t j = 0; j < k_; ++j) {
+        const double size = static_cast<double>(clusters[j].size());
+        const double present = size - missing[j];
+        for (std::size_t r = 0; r <= table.rows; ++r) {
+          double& value = table.values[r * k_ + j];
+          value = w * ((present - value) + expected_missing * missing[j]);
+        }
+        table.values[(table.rows + 1) * k_ + j] = w * (expected_missing * size);
+      }
     }
-    // (Per-clustering weights are applied in M(); the histograms hold
-    // raw member counts.)
   }
 
-  /// M(v, C_j) under the coin policy.
-  double M(std::size_t v, std::size_t j) const {
-    double total = 0.0;
-    for (std::size_t i = 0; i < num_clusterings_; ++i) {
-      const Clustering& c = input_.clustering(i);
-      const double present = sizes_[j] - missing_[j][i];
-      double contribution;
-      if (!c.has_label(v)) {
-        // v is unlabeled: the coin applies against every member.
-        contribution = expected_missing_ * sizes_[j];
-      } else {
-        double same = 0.0;
-        const auto it = counts_[j][i].find(c.label(v));
-        if (it != counts_[j][i].end()) same = it->second;
-        contribution =
-            (present - same) + expected_missing_ * missing_[j][i];
+  /// Writes M(v, C_j) for every sample cluster j into m_row[0..k).
+  void M(std::size_t v, double* m_row) const {
+    std::fill(m_row, m_row + k_, 0.0);
+    for (std::size_t i = 0; i < tables_.size(); ++i) {
+      const Table& table = tables_[i];
+      const Clustering::Label label = input_.clustering(i).label(v);
+      std::size_t row = table.rows + 1;  // v unlabeled
+      if (label != Clustering::kMissing) {
+        const Clustering::Label found = table.labels.Find(label);
+        row = found == Clustering::kMissing ? table.rows
+                                            : static_cast<std::size_t>(found);
       }
-      total += input_.weight(i) * contribution;
+      const double* values = table.values.data() + row * k_;
+      for (std::size_t j = 0; j < k_; ++j) m_row[j] += values[j];
     }
-    return total / input_.total_weight();
+    for (std::size_t j = 0; j < k_; ++j) m_row[j] /= input_.total_weight();
   }
 
  private:
+  struct Table {
+    internal::DenseLabels labels;  // member label -> row
+    std::size_t rows = 0;          // distinct member labels
+    std::vector<double> values;    // (rows + 2) x k, row-major
+  };
+
   const ClusteringSet& input_;
-  std::size_t num_clusterings_;
-  double expected_missing_;
-  std::vector<double> sizes_;
-  // missing_[cluster][clustering] = members without a label.
-  std::vector<std::vector<double>> missing_;
-  // counts_[cluster][clustering][label] = members with that label.
-  std::vector<std::vector<std::unordered_map<Clustering::Label, double>>>
-      counts_;
+  std::size_t k_;
+  std::vector<Table> tables_;
 };
 
 /// Relabels `final_labels[member]` for each object of `sub_clustering`
@@ -245,7 +261,7 @@ Result<ClustererRun> SamplingAggregateControlled(
   std::vector<bool> in_sample(n, false);
   for (std::size_t v : sample) in_sample[v] = true;
 
-  // Histogram index for the fast O(m)-per-cluster path (coin policy).
+  // Row tables for the O(m k)-per-object path (coin policy).
   const bool use_index =
       opts.missing.policy == MissingValuePolicy::kRandomCoin;
   std::unique_ptr<AssignmentIndex> index;
@@ -271,18 +287,20 @@ Result<ClustererRun> SamplingAggregateControlled(
       singleton_objects.push_back(v);
       continue;
     }
-    double t = 0.0;
-    for (std::size_t j = 0; j < clusters.size(); ++j) {
-      double mj = 0.0;
-      if (use_index) {
-        mj = index->M(v, j);
-      } else {
+    if (use_index) {
+      index->M(v, m_row.data());
+    } else {
+      for (std::size_t j = 0; j < clusters.size(); ++j) {
+        double mj = 0.0;
         for (std::size_t u : clusters[j]) {
           mj += input.PairwiseDistance(v, u, options.missing);
         }
+        m_row[j] = mj;
       }
-      m_row[j] = mj;
-      t += static_cast<double>(clusters[j].size()) - mj;
+    }
+    double t = 0.0;
+    for (std::size_t j = 0; j < clusters.size(); ++j) {
+      t += static_cast<double>(clusters[j].size()) - m_row[j];
     }
     double best_cost = t;  // fresh singleton
     std::size_t best = clusters.size();

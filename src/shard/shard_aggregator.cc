@@ -113,7 +113,7 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
                     static_cast<std::int64_t>(plan->shards.size()));
   TelemetryCount(telemetry, "shard.cut_edges", plan->cut_edges);
   TelemetryCount(telemetry, "shard.split_components", plan->split_components);
-  {
+  if (telemetry != nullptr) {
     std::vector<std::size_t> component_size(plan->num_components, 0);
     for (std::int32_t c : plan->component_of) {
       ++component_size[static_cast<std::size_t>(c)];
@@ -272,8 +272,10 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
       input.TotalDisagreements(out.clustering, options.missing);
   if (!disagreements.ok()) return disagreements.status();
   out.total_disagreements = *disagreements;
-  TelemetrySetGauge(telemetry, "aggregate.clusters",
-                    static_cast<std::int64_t>(out.clustering.NumClusters()));
+  if (telemetry != nullptr) {
+    TelemetrySetGauge(telemetry, "aggregate.clusters",
+                      static_cast<std::int64_t>(out.clustering.NumClusters()));
+  }
   return out;
 }
 

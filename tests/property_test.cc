@@ -24,6 +24,7 @@
 #include "core/distance_source.h"
 #include "core/internal/packed_labels.h"
 #include "core/lower_bound.h"
+#include "io/clustering_io.h"
 #include "core/pivot.h"
 #include "local/local_oracle.h"
 #include "stream/stream_aggregator.h"
@@ -101,6 +102,127 @@ TEST(PropertyTest, NaiveAndContingencyDistancesAgreeExactly) {
     const Clustering b =
         RandomClustering(n, 1 + rng.NextBounded(n), &rng);
     EXPECT_EQ(*DisagreementDistance(a, b), *DisagreementDistanceNaive(a, b));
+  }
+}
+
+// Scoring sweep: TotalDisagreements, DisagreementDistance and
+// NumClusters against their definitions on label shapes that take
+// every branch of the label-counting primitive — dense labels, spaced
+// labels inside the flat-table range, and sparse labels reaching
+// kMaxParsedLabel (the sort-unique remap); contingency tables that fit
+// the O(n) bound and ones that do not (the grouped count); weighted
+// clusterings; per-clustering missing rates 0, 0.03, 0.5 and 1; and
+// coin biases 0.5 and 0.3.
+
+/// Label value for cluster j under a shape: 0 dense, 1 spaced, 2 huge.
+Clustering::Label ShapedLabel(std::size_t j, int shape) {
+  switch (shape) {
+    case 0:
+      return static_cast<Clustering::Label>(j);
+    case 1:
+      return static_cast<Clustering::Label>(3 * j + 5);
+    default:
+      return kMaxParsedLabel - static_cast<Clustering::Label>(j) * 1000003;
+  }
+}
+
+Clustering ShapedClustering(std::size_t n, std::size_t k, int shape,
+                            double missing_rate, Rng* rng) {
+  std::vector<Clustering::Label> labels(n);
+  for (auto& l : labels) {
+    l = rng->NextBernoulli(missing_rate)
+            ? Clustering::kMissing
+            : ShapedLabel(rng->NextBounded(k), shape);
+  }
+  return Clustering(std::move(labels));
+}
+
+/// The candidates every sweep input is scored against: random ones of
+/// a few sizes and shapes, all singletons and one cluster.
+std::vector<Clustering> SweepCandidates(std::size_t n, Rng* rng) {
+  std::vector<Clustering> out;
+  for (int shape = 0; shape < 3; ++shape) {
+    out.push_back(ShapedClustering(n, 3, shape, 0.0, rng));
+    out.push_back(ShapedClustering(n, n / 4 + 1, shape, 0.0, rng));
+  }
+  out.push_back(Clustering::AllSingletons(n));
+  out.push_back(Clustering::SingleCluster(n));
+  return out;
+}
+
+std::size_t NumClustersNaive(const Clustering& c) {
+  std::vector<Clustering::Label> seen;
+  for (Clustering::Label l : c.labels()) {
+    if (l != Clustering::kMissing &&
+        std::find(seen.begin(), seen.end(), l) == seen.end()) {
+      seen.push_back(l);
+    }
+  }
+  return seen.size();
+}
+
+/// D(C) summed pair by pair from X_uv: W X_uv for a pair C joins and
+/// W (1 - X_uv) for one it splits.
+double PairwiseTotal(const ClusteringSet& set, const Clustering& candidate,
+                     const MissingValueOptions& missing) {
+  double total = 0.0;
+  for (std::size_t u = 0; u < set.num_objects(); ++u) {
+    for (std::size_t v = u + 1; v < set.num_objects(); ++v) {
+      const double x = set.PairwiseDistance(u, v, missing);
+      total += set.total_weight() *
+               (candidate.SameCluster(u, v) ? x : 1.0 - x);
+    }
+  }
+  return total;
+}
+
+TEST(ScoringProperty, TotalDisagreementsMatchesPairSums) {
+  const std::vector<double> weights = {1.0, 2.5, 0.75, 3.0};
+  const double rates[] = {0.0, 0.03, 0.5, 1.0};
+  for (std::size_t n : {0, 1, 2, 50, 300}) {
+    for (int shape = 0; shape < 3; ++shape) {
+      for (bool weighted : {false, true}) {
+        SCOPED_TRACE("n = " + std::to_string(n) + ", shape = " +
+                     std::to_string(shape) + ", weighted = " +
+                     std::to_string(weighted));
+        Rng rng(1000 * n + 10 * static_cast<std::uint64_t>(shape) +
+                (weighted ? 1 : 0));
+        // A complete set (exact) and one clustering per missing rate.
+        std::vector<Clustering> complete;
+        std::vector<Clustering> holey;
+        for (std::size_t i = 0; i < 4; ++i) {
+          const std::size_t k = 1 + rng.NextBounded(n / 3 + 2);
+          complete.push_back(ShapedClustering(n, k, shape, 0.0, &rng));
+          holey.push_back(ShapedClustering(n, k, shape, rates[i], &rng));
+        }
+        for (const Clustering& c : holey) {
+          EXPECT_EQ(c.NumClusters(), NumClustersNaive(c));
+        }
+        const std::vector<double> w =
+            weighted ? weights : std::vector<double>{};
+        const ClusteringSet exact = *ClusteringSet::Create(complete, w);
+        const ClusteringSet missing = *ClusteringSet::Create(holey, w);
+        for (const Clustering& candidate : SweepCandidates(n, &rng)) {
+          EXPECT_EQ(candidate.NumClusters(), NumClustersNaive(candidate));
+          double expected = 0.0;
+          for (std::size_t i = 0; i < complete.size(); ++i) {
+            const std::uint64_t d =
+                *DisagreementDistanceNaive(complete[i], candidate);
+            EXPECT_EQ(*DisagreementDistance(complete[i], candidate), d);
+            EXPECT_EQ(*DisagreementDistance(candidate, complete[i]), d);
+            expected += exact.weight(i) * static_cast<double>(d);
+          }
+          for (double p : {0.5, 0.3}) {
+            MissingValueOptions coin;
+            coin.coin_together_probability = p;
+            EXPECT_EQ(*exact.TotalDisagreements(candidate, coin), expected);
+            const double want = PairwiseTotal(missing, candidate, coin);
+            EXPECT_NEAR(*missing.TotalDisagreements(candidate, coin), want,
+                        1e-9 * std::max(1.0, want));
+          }
+        }
+      }
+    }
   }
 }
 

@@ -1,6 +1,10 @@
 // Tests for the SAMPLING meta-algorithm: planted-cluster recovery,
 // singleton reclustering, stats reporting, and degenerate sizes.
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -223,6 +227,105 @@ TEST(SamplingTest, DeterministicForFixedSeed) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->labels(), b->labels());
+}
+
+/// FNV-1a over a label vector: a compact fingerprint for pinning a
+/// clustering bit-for-bit.
+std::uint64_t LabelChecksum(const Clustering& c) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (Clustering::Label l : c.labels()) {
+    h ^= static_cast<std::uint32_t>(l);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Runs SAMPLING + AGGLOMERATIVE on `input` and returns the label
+/// checksum and the cost D of the result under `missing`.
+std::pair<std::uint64_t, double> SamplingFingerprint(
+    const ClusteringSet& input, const MissingValueOptions& missing) {
+  SamplingOptions options;
+  options.sample_size = 150;
+  options.seed = 9;
+  options.missing = missing;
+  const AgglomerativeClusterer base;
+  Result<Clustering> result = SamplingAggregate(input, base, options);
+  EXPECT_TRUE(result.ok());
+  if (!result.ok()) return {0, 0.0};
+  Result<double> d = input.TotalDisagreements(*result, missing);
+  EXPECT_TRUE(d.ok());
+  return {LabelChecksum(*result), d.ok() ? *d : 0.0};
+}
+
+// The assignment phase's M(v, C_j) table is pinned bit-for-bit: these
+// fingerprints were recorded from the hash-map implementation it
+// replaced, on a plain input, a weighted input with missing labels
+// under a biased coin, an input whose labels are sparse and huge, and
+// a wide-alphabet input (flat and sparse) whose sample misses labels.
+TEST(SamplingTest, AssignmentBitIdenticalOnPinnedInputs) {
+  const ClusteringSet plain = NoisyCopies(Planted(3000, 5), 7, 0.15, 101);
+  const auto [plain_sum, plain_d] = SamplingFingerprint(plain, {});
+  EXPECT_EQ(plain_sum, 0x2fdbefae33f32177ULL);
+  EXPECT_EQ(plain_d, 0x1.57072p+21);
+
+  Rng rng(202);
+  const ClusteringSet noisy = NoisyCopies(Planted(3000, 6), 7, 0.2, 202);
+  std::vector<Clustering> holey;
+  for (const Clustering& c : noisy.clusterings()) {
+    std::vector<Clustering::Label> labels(c.labels());
+    for (auto& l : labels) {
+      if (rng.NextBernoulli(0.1)) l = Clustering::kMissing;
+    }
+    holey.emplace_back(std::move(labels));
+  }
+  const ClusteringSet missing = *ClusteringSet::Create(
+      std::move(holey), {1.5, 0.5, 2.0, 1.0, 3.0, 0.25, 1.0});
+  MissingValueOptions coin;
+  coin.coin_together_probability = 0.3;
+  const auto [missing_sum, missing_d] = SamplingFingerprint(missing, coin);
+  EXPECT_EQ(missing_sum, 0xa41c5719a244c426ULL);
+  EXPECT_EQ(missing_d, 0x1.6a850f199999ap+22);
+
+  const ClusteringSet dense = NoisyCopies(Planted(3000, 5), 5, 0.15, 303);
+  std::vector<Clustering> huge;
+  for (const Clustering& c : dense.clusterings()) {
+    std::vector<Clustering::Label> labels(c.labels());
+    for (auto& l : labels) l = 2000000000 - 123456789 * l;
+    huge.emplace_back(std::move(labels));
+  }
+  const ClusteringSet sparse = *ClusteringSet::Create(std::move(huge));
+  const auto [sparse_sum, sparse_d] = SamplingFingerprint(sparse, {});
+  EXPECT_EQ(sparse_sum, 0xae74c220f8f9a0a1ULL);
+  EXPECT_EQ(sparse_d, 0x1.ed994p+20);
+
+  // A wide alphabet: many labels are carried by no sample member, so
+  // the assignment reads the default row, through the flat label table
+  // (labels below 300) and through the sorted one (the same labels
+  // spread up to 2e9).
+  Rng wide_rng(404);
+  std::vector<Clustering> wide;
+  std::vector<Clustering> wide_huge;
+  for (int i = 0; i < 5; ++i) {
+    std::vector<Clustering::Label> labels(3000);
+    for (std::size_t v = 0; v < labels.size(); ++v) {
+      labels[v] = wide_rng.NextBernoulli(0.3)
+                      ? static_cast<Clustering::Label>(
+                            5 + wide_rng.NextBounded(295))
+                      : static_cast<Clustering::Label>(v % 5);
+    }
+    std::vector<Clustering::Label> spread(labels);
+    for (auto& l : spread) l = 2000000000 - 6000011 * l;
+    wide.emplace_back(std::move(labels));
+    wide_huge.emplace_back(std::move(spread));
+  }
+  const auto [wide_sum, wide_d] =
+      SamplingFingerprint(*ClusteringSet::Create(std::move(wide)), {});
+  EXPECT_EQ(wide_sum, 0xa184b072a9b88a3aULL);
+  EXPECT_EQ(wide_d, 0x1.7d62ep+20);
+  const auto [spread_sum, spread_d] =
+      SamplingFingerprint(*ClusteringSet::Create(std::move(wide_huge)), {});
+  EXPECT_EQ(spread_sum, 0xa184b072a9b88a3aULL);
+  EXPECT_EQ(spread_d, 0x1.7d62ep+20);
 }
 
 }  // namespace
