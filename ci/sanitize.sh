@@ -9,6 +9,7 @@
 # The per-subsystem fast gates wired to every push:
 #   ci/sanitize.sh 'stream|differential' differential   # streaming
 #   ci/sanitize.sh shard                                # shard pipeline
+#   ci/sanitize.sh 'pipeline|shard'                     # Aggregate stages
 #   ci/sanitize.sh durability                           # crash safety
 #   ci/sanitize.sh native                               # packed kernel
 #   ci/sanitize.sh undefined                            # UBSan
@@ -41,12 +42,17 @@
 # docs/local_queries.md.
 #
 # The shard leg is the library's widest parallel surface (worker threads
-# run whole Aggregate pipelines concurrently), so its TSan pass in
-# particular must stay clean. The durability leg replays the kill-point
-# crash matrix under both sanitizers: recovery code paths are exactly
-# the ones that only run after something already went wrong, so they
-# get the least organic coverage. The full suite still runs sanitized
-# in the heavyweight job; these legs are the fast ones.
+# run per-shard solves concurrently), so its TSan pass in particular
+# must stay clean. The pipeline leg (label `pipeline`: the Aggregate
+# facade, folding, run control, fault injection and the pinned-output
+# suite) rides with it as 'pipeline|shard': every whole, sampled and
+# per-shard solve goes through the one solve stage those suites drive,
+# and the per-shard solves still share it from parallel threads.
+# The durability leg replays the kill-point crash matrix under both
+# sanitizers: recovery code paths are exactly the ones that only run
+# after something already went wrong, so they get the least organic
+# coverage. The full suite still runs sanitized in the heavyweight job;
+# these legs are the fast ones.
 #
 # On top of the label legs, every invocation runs a fixed eviction pin
 # (`ctest -R 'Window|Evict|Removal|window_smoke'`): the

@@ -70,8 +70,11 @@ struct AggregatorOptions {
   std::size_t num_threads = 0;
 
   /// Post-process the result with LOCALSEARCH (Section 4 recommends it as
-  /// a refinement step; not applied when the algorithm already is
-  /// LOCALSEARCH or EXACT).
+  /// a refinement step). Applied after every algorithm except LOCALSEARCH
+  /// itself — after EXACT too, where the pass finds no improving move —
+  /// on whole and per-shard solves. Not applied under SAMPLING (whose
+  /// base runs are left unpolished, with no fallback note), and skipped
+  /// with a note when the budget has already fired.
   bool refine_with_local_search = false;
 
   /// If nonzero, run via SAMPLING with this sample size instead of
@@ -177,9 +180,12 @@ struct AggregationResult {
 Result<std::unique_ptr<CorrelationClusterer>> MakeClusterer(
     const AggregatorOptions& options);
 
-/// Aggregates the input clusterings with the selected algorithm: builds
-/// the correlation instance (or samples), clusters, optionally refines
-/// with local search, and scores the result.
+/// Aggregates the input clusterings with the selected algorithm, as one
+/// composition: fold -> (shard | sample | whole) -> solve -> refine ->
+/// expand -> score. BESTCLUSTERING returns early; requested sharding
+/// (without sampling) runs ShardedAggregate; SAMPLING runs
+/// SamplingAggregateControlled; everything else is solved whole on the
+/// fold. Each path is scored once.
 Result<AggregationResult> Aggregate(const ClusteringSet& input,
                                     const AggregatorOptions& options = {});
 

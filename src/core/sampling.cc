@@ -11,9 +11,10 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "core/correlation_instance.h"
+#include "core/aggregator.h"
 #include "core/instrumentation.h"
 #include "core/internal/label_counts.h"
+#include "core/internal/pipeline.h"
 #include "core/signature_index.h"
 
 namespace clustagg {
@@ -127,18 +128,15 @@ void ApplySubClustering(const Clustering& sub_clustering,
   *next_label += max_label + 1;
 }
 
-/// Builds the correlation instance over `subset` — folded to one weighted
-/// representative per duplicate signature when `opts.fold` is on and the
-/// subset actually has duplicates — runs `base` on it, and expands folded
-/// labels back to subset space, so the caller always receives a clustering
-/// of subset.size() objects. Clusterer runs degrade internally (they
-/// return an outcome, not an interrupt status), so any interrupt status
+/// Solves `subset` with `base` — folded to one weighted representative
+/// per duplicate signature when `opts.fold` is on — and returns labels in
+/// subset space. Clusterers degrade internally, so an interrupt status
 /// escaping here came from the instance build.
-Result<ClustererRun> RunBaseOnSubset(const ClusteringSet& input,
-                                     const CorrelationClusterer& base,
-                                     const RunContext& run,
-                                     const SamplingOptions& opts,
-                                     const std::vector<std::size_t>& subset) {
+Result<ClustererRun> SolveSubset(const ClusteringSet& input,
+                                 const CorrelationClusterer& base,
+                                 const RunContext& run,
+                                 const SamplingOptions& opts,
+                                 const std::vector<std::size_t>& subset) {
   std::optional<SignatureIndex> fold;
   if (opts.fold) {
     SignatureIndex signatures = SignatureIndex::BuildSubset(input, subset);
@@ -147,21 +145,18 @@ Result<ClustererRun> RunBaseOnSubset(const ClusteringSet& input,
       fold.emplace(std::move(signatures));
     }
   }
-  Result<CorrelationInstance> instance =
-      CorrelationInstance::BuildSubset(
-          input, fold ? fold->representatives() : subset, opts.missing,
-          opts.source);
-  if (!instance.ok()) return instance.status();
-  if (fold) {
-    instance = CorrelationInstance::FromSource(instance->shared_source(),
-                                               opts.source.num_threads,
-                                               fold->multiplicities());
-    if (!instance.ok()) return instance.status();
-  }
-  Result<ClustererRun> result = base.RunControlled(*instance, run);
-  if (!result.ok()) return result.status();
-  if (fold) result->clustering = fold->Expand(result->clustering);
-  return result;
+  AggregatorOptions options;
+  options.missing = opts.missing;
+  options.run = run;
+  options.allow_fallbacks = false;
+  const internal::SubsetSolve sub{base, opts.source};
+  Result<internal::Solved> solved = internal::Solve(
+      input, fold ? &fold->representatives() : &subset,
+      fold ? fold->multiplicities() : internal::kUnfolded, options, &sub);
+  if (!solved.ok()) return solved.status();
+  return ClustererRun{fold ? fold->Expand(*solved->clustering)
+                           : std::move(*solved->clustering),
+                      solved->outcome};
 }
 
 }  // namespace
@@ -215,7 +210,7 @@ Result<ClustererRun> SamplingAggregateControlled(
                                                                  sample_size);
   std::sort(sample.begin(), sample.end());
   Result<ClustererRun> sample_run =
-      RunBaseOnSubset(input, base, run, opts, sample);
+      SolveSubset(input, base, run, opts, sample);
   if (!sample_run.ok()) {
     if (RunContext::IsInterrupt(sample_run.status())) {
       // The sample instance build was cut short; nothing was clustered
@@ -340,7 +335,7 @@ Result<ClustererRun> SamplingAggregateControlled(
     if (singleton_objects.size() >= 2 &&
         singleton_objects.size() <= quadratic_cap) {
       Result<ClustererRun> reclustered =
-          RunBaseOnSubset(input, base, run, opts, singleton_objects);
+          SolveSubset(input, base, run, opts, singleton_objects);
       if (!reclustered.ok()) {
         if (RunContext::IsInterrupt(reclustered.status())) {
           // The re-clustering instance build was cut short; skip the

@@ -12,35 +12,11 @@
 #include "core/clustering.h"
 #include "core/distance_source.h"
 #include "core/instrumentation.h"
+#include "core/internal/pipeline.h"
 #include "core/signature_index.h"
 #include "shard/decompose.h"
 
 namespace clustagg {
-
-namespace {
-
-/// The input restricted to one shard's objects (ascending global ids):
-/// object i of the result is objects[i], with the input weights kept.
-Result<ClusteringSet> RestrictInput(const ClusteringSet& input,
-                                    const std::vector<std::size_t>& objects) {
-  std::vector<Clustering> restricted;
-  restricted.reserve(input.num_clusterings());
-  std::vector<double> weights(input.num_clusterings());
-  for (std::size_t i = 0; i < input.num_clusterings(); ++i) {
-    restricted.push_back(input.clustering(i).Restrict(objects));
-    weights[i] = input.weight(i);
-  }
-  return ClusteringSet::Create(std::move(restricted), std::move(weights));
-}
-
-Result<AggregationResult> RunUnsharded(const ClusteringSet& input,
-                                       const AggregatorOptions& options) {
-  AggregatorOptions plain = options;
-  plain.shard.mode = ShardingMode::kOff;
-  return Aggregate(input, plain);
-}
-
-}  // namespace
 
 Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
                                            const AggregatorOptions& options) {
@@ -48,61 +24,45 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
   Telemetry* telemetry = run.telemetry();
   const std::size_t n = input.num_objects();
 
+  AggregationResult out;
+  const std::optional<SignatureIndex> fold =
+      internal::Fold(input, options, &out);
+  auto solve_whole = [&] {
+    return internal::Score(input, options,
+                           internal::SolveWhole(input, options, fold, &out),
+                           &out);
+  };
+  const std::size_t nodes = fold ? fold->num_signatures() : n;
   if (!ShardingRequested(options.shard) ||
-      options.algorithm == AggregationAlgorithm::kBestClustering ||
-      options.sampling_size > 0) {
-    return RunUnsharded(input, options);
-  }
-  // kAuto pre-trigger in object space (folding only shrinks the node
-  // count further, so n < min_objects decides without building anything).
-  if (options.shard.mode == ShardingMode::kAuto &&
-      n < options.shard.min_objects) {
-    return RunUnsharded(input, options);
+      (options.shard.mode == ShardingMode::kAuto &&
+       nodes < options.shard.min_objects)) {
+    return solve_whole();
   }
 
-  // Duplicate signatures have pairwise distance 0, so they always share a
-  // component: decomposition runs over the s representatives and the
-  // agreement scan drops from O(n^2 m) to O(s^2 m).
-  std::optional<SignatureIndex> fold_index;
-  if (options.fold) {
-    InstrumentedSpan fold_span(telemetry, "fold_index");
-    fold_index.emplace(SignatureIndex::Build(input));
-  }
-  const std::size_t nodes = fold_index ? fold_index->num_signatures() : n;
-  if (options.shard.mode == ShardingMode::kAuto &&
-      nodes < options.shard.min_objects) {
-    return RunUnsharded(input, options);
-  }
-
-  // The scan always streams from a lazy source — one O(n m) column store
-  // whatever backend the per-shard solves use — because both backends
-  // answer bit-identically and the scan reads each row exactly once.
-  Result<std::shared_ptr<const LazyDistanceSource>> scan =
-      fold_index ? LazyDistanceSource::BuildSubset(
-                       input, fold_index->representatives(), options.missing)
-                 : LazyDistanceSource::Build(input, options.missing);
-  if (!scan.ok()) return scan.status();
-  static const std::vector<double> kUnitMultiplicities;
   const std::vector<double>& multiplicities =
-      fold_index ? fold_index->multiplicities() : kUnitMultiplicities;
-
+      fold ? fold->multiplicities() : internal::kUnfolded;
   Result<ShardPlan> plan = [&]() -> Result<ShardPlan> {
     InstrumentedSpan decompose_span(telemetry, "shard.decompose");
+    // The scan always streams from a lazy source — one O(n m) column
+    // store whatever backend the per-shard solves use — because both
+    // backends answer bit-identically and the scan reads each row once.
+    Result<std::shared_ptr<const LazyDistanceSource>> scan =
+        fold ? LazyDistanceSource::BuildSubset(input, fold->representatives(),
+                                               options.missing)
+             : LazyDistanceSource::Build(input, options.missing);
+    if (!scan.ok()) return scan.status();
     return DecomposeAgreementGraph(**scan, multiplicities, options.shard,
                                    options.num_threads, run);
   }();
   if (!plan.ok()) {
     if (RunContext::IsInterrupt(plan.status()) && options.allow_fallbacks) {
-      // The half-scanned graph is unusable; the unsharded pipeline picks
-      // up whatever budget remains and degrades from there.
+      // The half-scanned graph is unusable; the whole solve picks up
+      // whatever budget remains and degrades from there.
       TelemetryCount(telemetry, "shard.fallback.decompose_interrupted");
-      Result<AggregationResult> rest = RunUnsharded(input, options);
-      if (!rest.ok()) return rest;
-      rest->fallbacks.insert(
-          rest->fallbacks.begin(),
+      out.fallbacks.push_back(
           "budget fired during the shard agreement scan; running unsharded");
-      rest->outcome = MergeOutcomes(rest->outcome, RunOutcome::kFellBack);
-      return rest;
+      out.outcome = RunOutcome::kFellBack;
+      return solve_whole();
     }
     return plan.status();
   }
@@ -126,21 +86,7 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
     }
   }
 
-  // Shards in object space: without folding the plan's node lists are
-  // already object lists; with folding every object follows its
-  // signature's shard (ascending ids either way).
-  std::vector<std::vector<std::size_t>> shard_objects;
-  if (fold_index) {
-    shard_objects.resize(plan->shards.size());
-    for (std::size_t v = 0; v < n; ++v) {
-      shard_objects[plan->shard_of[fold_index->signature_of(v)]].push_back(v);
-    }
-  } else {
-    shard_objects = std::move(plan->shards);
-  }
-  const std::size_t shard_count = shard_objects.size();
-
-  AggregationResult out;
+  const std::size_t shard_count = plan->shards.size();
   out.sharded = true;
   out.shard_count = shard_count;
   out.shard_components = plan->num_components;
@@ -149,29 +95,23 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
   // opinions, where the same pair's excess is scaled by the input's
   // total weight. Surface the bound in the result's units.
   out.stitch_error_bound = plan->stitch_error_bound * input.total_weight();
-  if (fold_index) {
-    out.fold_signatures = fold_index->num_signatures();
-    out.folded = !fold_index->trivial();
-  }
 
-  // Solve every shard through the full Aggregate pipeline (per-shard
-  // fold, backend fallback, refinement, EXACT tractability all compose
-  // per shard). Outer parallelism goes across shards; each shard gets
-  // the leftover threads for its own parallel phases.
+  // Solve every shard's node list through the solve stage (backend
+  // fallback, refinement, EXACT's size gate all apply per shard). Outer
+  // parallelism goes across shards; each shard gets the leftover threads
+  // for its own parallel phases.
   const std::size_t resolved = ResolveThreadCount(options.num_threads);
   const std::size_t outer = std::max<std::size_t>(
       1, std::min(shard_count, resolved));
   AggregatorOptions shard_options = options;
-  shard_options.shard.mode = ShardingMode::kOff;
   shard_options.num_threads = std::max<std::size_t>(1, resolved / outer);
   // Telemetry spans are single-threaded by contract (Span begin/end must
   // come from one thread at a time), so parallel per-shard solves run
   // with the sink detached; the per-shard latency histogram below is
   // recorded from this thread after the join either way.
-  shard_options.run =
-      outer > 1 ? run.WithTelemetry(nullptr) : run;
+  shard_options.run = outer > 1 ? run.WithTelemetry(nullptr) : run;
 
-  std::vector<std::optional<AggregationResult>> solved(shard_count);
+  std::vector<std::optional<internal::Solved>> solved(shard_count);
   std::vector<std::optional<Status>> errors(shard_count);
   std::vector<std::uint64_t> solve_nanos(shard_count, 0);
   {
@@ -186,14 +126,22 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
             span_name = "shard." + std::to_string(s);
             shard_span.emplace(telemetry, span_name);
           }
-          Result<ClusteringSet> restricted =
-              RestrictInput(input, shard_objects[s]);
-          if (!restricted.ok()) {
-            errors[s] = restricted.status();
-            return;
+          // Folded shards solve their signatures' representatives (in
+          // signature order, so ascending) weighted by the fold's group
+          // sizes; a shard of unique signatures builds unfolded, as a
+          // fold that does not shrink it would.
+          std::vector<std::size_t> objects;
+          std::vector<double> weights;
+          for (std::size_t node : plan->shards[s]) {
+            objects.push_back(fold ? fold->representatives()[node] : node);
+            if (fold) weights.push_back(multiplicities[node]);
           }
-          Result<AggregationResult> result =
-              Aggregate(*restricted, shard_options);
+          if (std::all_of(weights.begin(), weights.end(),
+                          [](double w) { return w == 1.0; })) {
+            weights.clear();
+          }
+          Result<internal::Solved> result =
+              internal::Solve(input, &objects, weights, shard_options);
           if (!result.ok()) {
             errors[s] = result.status();
             return;
@@ -207,33 +155,26 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
   for (std::size_t s = 0; s < shard_count; ++s) {
     if (errors[s].has_value()) return *errors[s];
   }
+
+  // Shards the interrupted loop never started degrade to singletons —
+  // the same honest best-so-far an interrupted build returns.
+  bool any_unsolved = false;
   for (std::size_t s = 0; s < shard_count; ++s) {
     if (solve_nanos[s] != 0) {
       TelemetryObserve(telemetry, "shard.solve_nanos", solve_nanos[s]);
     }
-  }
-
-  // Shards the interrupted loop never started degrade to singletons —
-  // the same honest best-so-far the unsharded build-interrupt path uses.
-  bool any_unsolved = false;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    if (solved[s].has_value()) {
-      out.outcome = MergeOutcomes(out.outcome, solved[s]->outcome);
-      for (const std::string& note : solved[s]->fallbacks) {
-        out.fallbacks.push_back("shard " + std::to_string(s) + "/" +
-                                std::to_string(shard_count) + ": " + note);
-      }
-      continue;
+    if (!solved[s].has_value()) {
+      any_unsolved = true;
+      const RunOutcome interrupt = run.Poll();
+      solved[s].emplace().outcome = interrupt == RunOutcome::kConverged
+                                        ? RunOutcome::kDeadlineExceeded
+                                        : interrupt;
     }
-    any_unsolved = true;
-    AggregationResult filler;
-    filler.clustering = Clustering::AllSingletons(shard_objects[s].size());
-    RunOutcome interrupt = run.Poll();
-    filler.outcome = interrupt == RunOutcome::kConverged
-                         ? RunOutcome::kDeadlineExceeded
-                         : interrupt;
-    out.outcome = MergeOutcomes(out.outcome, filler.outcome);
-    solved[s] = std::move(filler);
+    out.outcome = MergeOutcomes(out.outcome, solved[s]->outcome);
+    for (const std::string& note : solved[s]->fallbacks) {
+      out.fallbacks.push_back("shard " + std::to_string(s) + "/" +
+                              std::to_string(shard_count) + ": " + note);
+    }
   }
   if (any_unsolved) {
     out.fallbacks.push_back(
@@ -243,40 +184,39 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
   }
 
   InstrumentedSpan stitch_span(telemetry, "shard.stitch");
-  if (shard_count == 1 && !any_unsolved) {
-    // Single shard over the identity subset: the shard's pipeline was
-    // the unsharded pipeline, label for label and score for score.
-    out.clustering = std::move(solved[0]->clustering);
-    out.total_disagreements = solved[0]->total_disagreements;
-    return out;
+  if (shard_count == 1 && solved[0]->clustering.has_value()) {
+    // One shard over every node: its solve was the whole solve, label for
+    // label.
+    return internal::Score(input, options,
+                           fold ? fold->Expand(*solved[0]->clustering)
+                                : std::move(*solved[0]->clustering),
+                           &out);
   }
-  std::vector<Clustering::Label> labels(n, Clustering::kMissing);
-  Clustering::Label offset = 0;
+  // Each shard's labels move past the previous shards' range; objects of
+  // a shard without a clustering (never started, or its build was
+  // interrupted) get a label each.
+  std::vector<Clustering::Label> offset(shard_count, 0);
+  std::vector<std::size_t> position(nodes);
+  Clustering::Label next = 0;
   for (std::size_t s = 0; s < shard_count; ++s) {
-    const Clustering& local = solved[s]->clustering;
-    Clustering::Label local_max = -1;
-    for (std::size_t i = 0; i < shard_objects[s].size(); ++i) {
-      const Clustering::Label label = local.label(i);
-      labels[shard_objects[s][i]] =
-          static_cast<Clustering::Label>(offset + label);
-      local_max = std::max(local_max, label);
+    const std::vector<std::size_t>& shard = plan->shards[s];
+    for (std::size_t i = 0; i < shard.size(); ++i) position[shard[i]] = i;
+    offset[s] = next;
+    if (const std::optional<Clustering>& local = solved[s]->clustering) {
+      next += *std::max_element(local->labels().begin(),
+                                local->labels().end()) + 1;
     }
-    offset += local_max + 1;
   }
-  Clustering stitched{std::move(labels)};
+  std::vector<Clustering::Label> labels(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::size_t node = fold ? fold->signature_of(v) : v;
+    const std::size_t s = plan->shard_of[node];
+    const std::optional<Clustering>& local = solved[s]->clustering;
+    labels[v] = local ? offset[s] + local->label(position[node]) : next++;
+  }
+  Clustering stitched(std::move(labels));
   stitched.Normalize();
-  out.clustering = std::move(stitched);
-
-  InstrumentedSpan score_span(telemetry, "score");
-  Result<double> disagreements =
-      input.TotalDisagreements(out.clustering, options.missing);
-  if (!disagreements.ok()) return disagreements.status();
-  out.total_disagreements = *disagreements;
-  if (telemetry != nullptr) {
-    TelemetrySetGauge(telemetry, "aggregate.clusters",
-                      static_cast<std::int64_t>(out.clustering.NumClusters()));
-  }
-  return out;
+  return internal::Score(input, options, std::move(stitched), &out);
 }
 
 }  // namespace clustagg

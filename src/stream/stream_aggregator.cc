@@ -13,7 +13,6 @@
 #include "common/symmetric_matrix.h"
 #include "core/distance_source.h"
 #include "core/instrumentation.h"
-#include "stream/online_repair.h"
 
 namespace clustagg {
 
@@ -836,10 +835,8 @@ Result<StreamFlushReport> StreamAggregator::Flush(const RunContext& run) {
       const Clustering initial =
           options_.fold ? FoldSolution(labels_) : labels_;
       Result<ClustererRun> repaired =
-          options_.repair_policy == StreamRepairPolicy::kOnline
-              ? OnlineRepair(instance, initial, run)
-              : LocalSearchClusterer(options_.repair)
-                    .RunFromControlled(instance, initial, run);
+          LocalSearchClusterer(options_.repair)
+              .RunFromControlled(instance, initial, run);
       if (!repaired.ok()) return repaired.status();
       labels_ = options_.fold ? ExpandSolution(repaired->clustering)
                               : std::move(repaired->clustering);

@@ -17,18 +17,6 @@
 
 namespace clustagg {
 
-/// Which solution fix-up Flush runs after applying a batch (below the
-/// drift-triggered rebuild, which always wins).
-enum class StreamRepairPolicy {
-  /// Warm-started LOCALSEARCH from the current solution (the default;
-  /// PR 5 semantics).
-  kLocalSearch,
-  /// The online agglomerative repair of Mathieu–Sankur–Schudy: greedily
-  /// place newcomer singletons, then merge cluster pairs while a merge
-  /// reduces cost (see src/stream/online_repair.h).
-  kOnline,
-};
-
 /// Knobs for the streaming aggregation workload.
 struct StreamAggregatorOptions {
   /// Missing-value policy defining X_uv; fixed for the stream's lifetime
@@ -52,9 +40,6 @@ struct StreamAggregatorOptions {
   /// M(v,C) bookkeeping of src/core/local_search.cc, warm-started
   /// instead of cold).
   LocalSearchOptions repair;
-
-  /// Which repair the non-rebuild path runs (see StreamRepairPolicy).
-  StreamRepairPolicy repair_policy = StreamRepairPolicy::kLocalSearch;
 
   /// Sliding window over input clusterings: when nonzero, applying a
   /// clustering that would leave more than `window` alive auto-evicts
@@ -93,8 +78,7 @@ struct StreamFlushReport {
   double drift = 0.0;
   /// True when the rebuild fallback ran (full Aggregate).
   bool rebuilt = false;
-  /// True when the warm repair (LOCALSEARCH or online, per
-  /// StreamAggregatorOptions::repair_policy) ran.
+  /// True when the warm LOCALSEARCH repair ran.
   bool repaired = false;
   /// The complete warm-start partition handed to repair (objects added
   /// by this batch appear as fresh singletons). Set for repaired and
@@ -161,8 +145,8 @@ struct StreamAggregatorState {
 ///     auto-evicts the oldest clustering,
 ///   - the duplicate-signature fold grouping (optional),
 ///   - a current solution, fixed up after each batch by a warm-started
-///     repair (LOCALSEARCH or the online agglomerative policy), with a
-///     drift-triggered fallback to the full Aggregate pipeline.
+///     LOCALSEARCH repair, with a drift-triggered fallback to the full
+///     Aggregate pipeline.
 ///
 /// The maintained distances are bit-identical to a from-scratch
 /// CorrelationInstance::Build over the *surviving* inputs on either

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+#include <vector>
+
+#include "common/run_context.h"
+#include "common/telemetry.h"
 #include "core/aggregator.h"
 
 namespace clustagg {
@@ -188,6 +194,63 @@ TEST(AggregatorTest, MissingPolicyIsForwarded) {
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->clustering.HasMissing());
 }
+
+#if defined(CLUSTAGG_TELEMETRY_ENABLED)
+std::size_t CountSpans(const Telemetry& telemetry, const std::string& name) {
+  std::size_t count = 0;
+  for (const Span& span : telemetry.Spans()) count += span.name == name;
+  return count;
+}
+
+/// n objects in three groups of distinct sizes, the labels of the
+/// second clustering rotated on every fifth object.
+ClusteringSet ThreeGroups(std::size_t n) {
+  std::vector<Clustering::Label> a(n), b(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    a[v] = static_cast<Clustering::Label>(v * 6 / n < 1 ? 0
+                                          : v * 6 / n < 3 ? 1
+                                                          : 2);
+    b[v] = v % 5 == 0 ? (a[v] + 1) % 3 : a[v];
+  }
+  return *ClusteringSet::Create({Clustering(a), Clustering(b), Clustering(a)});
+}
+
+TEST(AggregatorTest, RefineRunsAfterExact) {
+  // The polish is skipped only for LOCALSEARCH itself: an EXACT run that
+  // asks for it still gets one (no-op) LOCALSEARCH pass.
+  Telemetry telemetry;
+  AggregatorOptions options;
+  options.algorithm = AggregationAlgorithm::kExact;
+  options.refine_with_local_search = true;
+  options.run = RunContext().WithTelemetry(&telemetry);
+  Result<AggregationResult> result = Aggregate(ThreeGroups(10), options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->fallbacks.empty());
+  EXPECT_EQ(CountSpans(telemetry, "refine"), 1u);
+
+  Telemetry local_telemetry;
+  options.algorithm = AggregationAlgorithm::kLocalSearch;
+  options.run = RunContext().WithTelemetry(&local_telemetry);
+  ASSERT_TRUE(Aggregate(ThreeGroups(10), options).ok());
+  EXPECT_EQ(CountSpans(local_telemetry, "refine"), 0u);
+}
+
+TEST(AggregatorTest, RefineIsNotAppliedUnderSampling) {
+  // SAMPLING runs take no polish and record no note about it.
+  Telemetry telemetry;
+  AggregatorOptions options;
+  options.algorithm = AggregationAlgorithm::kBalls;
+  options.refine_with_local_search = true;
+  options.sampling_size = 20;
+  options.run = RunContext().WithTelemetry(&telemetry);
+  Result<AggregationResult> result = Aggregate(ThreeGroups(120), options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->fallbacks.empty());
+  EXPECT_EQ(result->outcome, RunOutcome::kConverged);
+  EXPECT_EQ(CountSpans(telemetry, "refine"), 0u);
+  EXPECT_EQ(CountSpans(telemetry, "sampling.sample"), 1u);
+}
+#endif  // CLUSTAGG_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace clustagg

@@ -389,19 +389,6 @@ TEST(DistanceSourceTest, ThreadCountDoesNotChangeAlgorithmOutput) {
   }
 }
 
-TEST(DistanceSourceTest, LegacyBuildersStillMatchPairwise) {
-  const ClusteringSet input = RandomInput(20, 4, 3, 47, 0.2);
-  const CorrelationInstance instance =
-      CorrelationInstance::FromClusterings(input);
-  for (std::size_t u = 0; u < 20; ++u) {
-    for (std::size_t v = 0; v < 20; ++v) {
-      EXPECT_EQ(instance.distance(u, v),
-                static_cast<double>(static_cast<float>(
-                    input.PairwiseDistance(u, v))));
-    }
-  }
-}
-
 // ----------------------------------------------- packed kernel tiers
 
 /// Forces a packed-kernel tier for the enclosing scope; the default

@@ -28,7 +28,6 @@
 #include "core/correlation_instance.h"
 #include "core/local_search.h"
 #include "core/signature_index.h"
-#include "stream/online_repair.h"
 #include "stream/stream_aggregator.h"
 #include "stream/stream_event.h"
 
@@ -398,10 +397,8 @@ inline void ExpectStreamMatchesBatch(const StreamAggregator& stream,
                                  ? FoldByIndex(report.pre_repair, index)
                                  : report.pre_repair;
     Result<ClustererRun> repaired =
-        options.repair_policy == StreamRepairPolicy::kOnline
-            ? OnlineRepair(scored, start, RunContext())
-            : LocalSearchClusterer(options.repair)
-                  .RunFromControlled(scored, start, RunContext());
+        LocalSearchClusterer(options.repair)
+            .RunFromControlled(scored, start, RunContext());
     ASSERT_TRUE(repaired.ok()) << repaired.status().message();
     const Clustering expected =
         options.fold ? index.Expand(repaired->clustering)

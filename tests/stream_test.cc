@@ -270,30 +270,6 @@ TEST(StreamAggregatorTest, RemovalShrinksStateAndCountersExactly) {
   EXPECT_EQ(stream.distance(0, 1), 1.0);  // was the (0, 2) pair
 }
 
-TEST(StreamAggregatorTest, OnlineRepairPolicyMergesAgreeingClusters) {
-  StreamAggregatorOptions options;
-  options.repair_policy = StreamRepairPolicy::kOnline;
-  options.rebuild_threshold = 1e9;
-  StreamAggregator stream(options);
-  ASSERT_TRUE(stream.Ingest(AddClusteringEvent{{0, 0, 1, 1}, 1.0}).ok());
-  Result<StreamFlushReport> first = stream.Flush();
-  ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(first->rebuilt);  // the initial build always rebuilds
-  // Two new objects arrive as singletons; the online merge must fold
-  // them into the clusters the unanimous evidence demands.
-  ASSERT_TRUE(stream.Ingest(AddObjectEvent{{0}}).ok());
-  ASSERT_TRUE(stream.Ingest(AddObjectEvent{{1}}).ok());
-  ASSERT_TRUE(stream.Ingest(AddClusteringEvent{{0, 0, 1, 1, 0, 1}, 1.0}).ok());
-  Result<StreamFlushReport> second = stream.Flush();
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->repaired);
-  EXPECT_FALSE(second->rebuilt);
-  EXPECT_EQ(second->cost, 0.0);
-  EXPECT_TRUE(stream.labels().SameCluster(0, 4));
-  EXPECT_TRUE(stream.labels().SameCluster(2, 5));
-  EXPECT_FALSE(stream.labels().SameCluster(0, 2));
-}
-
 TEST(StreamAggregatorTest, IngestValidatesDimensionsAndLabels) {
   StreamAggregator stream{StreamAggregatorOptions{}};
   // The first clustering on an empty stream defines the objects.

@@ -289,13 +289,11 @@ int CmdStream(const Args& args) {
     options.window = static_cast<std::size_t>(window);
   }
   if (args.Has("repair")) {
-    const std::string repair = args.Get("repair");
-    if (repair == "online") {
-      options.repair_policy = StreamRepairPolicy::kOnline;
-    } else if (repair != "warm") {
-      return Fail(Status::InvalidArgument(
-          "--repair expects 'warm' or 'online', got '" + repair + "'"));
-    }
+    // Unknown flags are ignored, so a script still passing the retired
+    // flag is stopped here rather than silently switched to warm repair.
+    return Fail(Status::InvalidArgument(
+        "--repair is no longer accepted: warm LOCALSEARCH is the only "
+        "stream repair; drop the flag"));
   }
 
   long long deadline_ms = 0;
@@ -955,8 +953,8 @@ int CmdHelp() {
       "      a table or JSON; --fake-clock substitutes a deterministic\n"
       "      clock so --stats=json output is byte-stable.\n"
       "  aggregate --stream FILE [--rebuild-threshold X] [--fold]\n"
-      "            [--window N] [--repair warm|online]\n"
-      "            [--algorithm ...] [--missing coin|ignore] [--coin-p P]\n"
+      "            [--window N] [--algorithm ...]\n"
+      "            [--missing coin|ignore] [--coin-p P]\n"
       "            [--shards auto|off|N] [--max-cluster-size N]\n"
       "            [--threads N] [--deadline-ms N] [--out FILE]\n"
       "            [--stats[=json|table]] [--fake-clock]\n"
@@ -968,10 +966,8 @@ int CmdHelp() {
       "      see docs/streaming.md) through the incremental\n"
       "      StreamAggregator. Each 'flush' closes a batch: deltas apply\n"
       "      to the maintained X counters, then the solution is repaired\n"
-      "      in place (--repair warm, the default, re-runs LOCALSEARCH\n"
-      "      from the previous labels; --repair online runs the\n"
-      "      agglomerative merge repair) or fully rebuilt with\n"
-      "      --algorithm when accumulated drift exceeds\n"
+      "      in place (LOCALSEARCH re-run from the previous labels) or\n"
+      "      fully rebuilt with --algorithm when accumulated drift exceeds\n"
       "      --rebuild-threshold (default 0.25). Clusterings and objects\n"
       "      get stable 0-based ids in arrival order (never reused);\n"
       "      remove_* directives evict by id, and --window N keeps only\n"
