@@ -25,12 +25,16 @@
 #
 # `undefined` is a special leg too: one CLUSTAGG_SANITIZE=undefined
 # build (GCC's -fsanitize=undefined, every report fatal) running the
-# backend-equivalence, property, local-oracle and scoring suites. The
-# packed label kernels are all shifts, lane masks and multiplies —
-# exactly where undefined behaviour hides — and those suites drive them
-# through every lane width, missing-aware and mismatch-only layouts
-# alike. The scoring suites index flat count tables by label value and
-# take the sort-unique fallback for labels up to kMaxParsedLabel.
+# backend-equivalence, property, local-oracle, scoring and pipeline
+# suites. The packed label kernels are all shifts, lane masks and
+# multiplies — exactly where undefined behaviour hides — and those
+# suites drive them through every lane width, missing-aware and
+# mismatch-only layouts alike. The scoring suites index flat count
+# tables by label value and take the sort-unique fallback for labels up
+# to kMaxParsedLabel. The pipeline suites include the signature fold,
+# which indexes flat tables by label value and multiplies 64-bit keys
+# for its open-addressing table (fold_test drives small labels through
+# the flat table and labels up to kMaxParsedLabel through the other).
 #
 # The scoring leg (label `scoring`) runs the disagreement, cost and
 # SAMPLING suites under ASan and TSan: an out-of-range label column or
@@ -107,7 +111,7 @@ if [ "$1" = "undefined" ]; then
   cmake -B "$BUILD" -S "$ROOT" -DCLUSTAGG_SANITIZE=undefined \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
   cmake --build "$BUILD" -j"$JOBS"
-  (cd "$BUILD" && ctest -L 'backend|property|local|scoring' --no-tests=error \
+  (cd "$BUILD" && ctest -L 'backend|property|local|scoring|pipeline' --no-tests=error \
        --output-on-failure -j"$JOBS")
   echo "sanitize: undefined leg passed"
   exit 0

@@ -128,7 +128,7 @@ Result<Solved> Solve(const ClusteringSet& input,
           std::to_string(options.exact.max_objects) +
           "); fell back to BALLS + LOCALSEARCH refinement");
       out.outcome = RunOutcome::kFellBack;
-      TelemetryCount(telemetry, "aggregate.fallback.exact_to_balls");
+      out.counters.push_back("aggregate.fallback.exact_to_balls");
     }
     Result<std::unique_ptr<CorrelationClusterer>> made =
         MakeClusterer(effective);
@@ -159,7 +159,7 @@ Result<Solved> Solve(const ClusteringSet& input,
       out.fallbacks.push_back(
           "dense backend allocation failed; retried with lazy backend");
       out.outcome = MergeOutcomes(out.outcome, RunOutcome::kFellBack);
-      TelemetryCount(telemetry, "aggregate.fallback.dense_to_lazy");
+      out.counters.push_back("aggregate.fallback.dense_to_lazy");
       source.backend = DistanceBackend::kLazy;
       return build();
     }
@@ -182,7 +182,7 @@ Result<Solved> Solve(const ClusteringSet& input,
           "all-singletons partition");
       out.outcome = MergeOutcomes(
           out.outcome, RunContext::OutcomeFromInterrupt(built.status()));
-      TelemetryCount(telemetry, "aggregate.fallback.build_interrupted");
+      out.counters.push_back("aggregate.fallback.build_interrupted");
       return out;
     }
     return built.status();
@@ -203,7 +203,7 @@ Result<Solved> Solve(const ClusteringSet& input,
     out.fallbacks.push_back(
         "budget fired before LOCALSEARCH refinement; returning the "
         "unrefined clustering");
-    TelemetryCount(telemetry, "aggregate.fallback.refine_skipped");
+    out.counters.push_back("aggregate.fallback.refine_skipped");
     return out;
   }
   InstrumentedSpan refine_span(telemetry, "refine");
@@ -214,6 +214,12 @@ Result<Solved> Solve(const ClusteringSet& input,
   out.outcome = MergeOutcomes(out.outcome, refined->outcome);
   out.clustering = std::move(refined->clustering);
   return out;
+}
+
+void RecordFallbackCounters(Telemetry* telemetry, const Solved& solved) {
+  for (const char* counter : solved.counters) {
+    TelemetryCount(telemetry, counter);
+  }
 }
 
 std::optional<SignatureIndex> Fold(const ClusteringSet& input,
@@ -240,6 +246,7 @@ Result<Clustering> SolveWhole(const ClusteringSet& input,
       Solve(input, fold ? &fold->representatives() : nullptr,
             fold ? fold->multiplicities() : kUnfolded, options);
   if (!solved.ok()) return solved.status();
+  RecordFallbackCounters(options.run.telemetry(), *solved);
   out->outcome = MergeOutcomes(out->outcome, solved->outcome);
   out->fallbacks.insert(out->fallbacks.end(), solved->fallbacks.begin(),
                         solved->fallbacks.end());

@@ -51,6 +51,8 @@ class ClusteringSet {
   std::size_t num_objects() const { return num_objects_; }
   std::size_t num_clusterings() const { return clusterings_.size(); }
   const Clustering& clustering(std::size_t i) const { return clusterings_[i]; }
+  /// Largest label of clustering i (kMissing when it labels nothing).
+  Clustering::Label max_label(std::size_t i) const { return max_labels_[i]; }
   const std::vector<Clustering>& clusterings() const { return clusterings_; }
 
   /// Weight of the i-th clustering (1 unless specified at Create).

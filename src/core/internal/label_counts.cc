@@ -9,18 +9,14 @@ namespace internal {
 
 namespace {
 
-// A flat table indexed by label value (or by reference cluster and
-// label) is used while it has at most kFlatEntriesPerObject * n +
-// kFlatSlack entries, which keeps it O(n) 32-bit whatever the label
-// range.
 constexpr std::uint64_t kFlatEntriesPerObject = 2;
 constexpr std::uint64_t kFlatSlack = 64;
+
+}  // namespace
 
 bool FitsFlat(std::uint64_t entries, std::size_t n) {
   return entries <= kFlatEntriesPerObject * n + kFlatSlack;
 }
-
-}  // namespace
 
 Clustering::Label MaxLabel(const Clustering::Label* labels, std::size_t n) {
   Clustering::Label min_label = Clustering::kMissing;

@@ -29,6 +29,12 @@
 namespace clustagg {
 namespace internal {
 
+/// True when a flat table of `entries` slots stays O(n) for a pass over
+/// n objects: at most 2n + 64 entries, whatever the label range. Every
+/// table indexed by label value (or by a row and a label) is flat only
+/// below this bound.
+bool FitsFlat(std::uint64_t entries, std::size_t n);
+
 /// Dense first-appearance relabeling of a label sequence. kMissing is
 /// not a label: it keeps kMissing and gets no id.
 class DenseLabels {

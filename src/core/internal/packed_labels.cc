@@ -4,9 +4,9 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_map>
 
 #include "common/check.h"
+#include "core/internal/label_counts.h"
 
 namespace clustagg::internal {
 
@@ -109,38 +109,34 @@ std::unique_ptr<PackedLabels> PackLabelRows(const Clustering::Label* rows,
   if (m == 0) return nullptr;
   constexpr std::size_t kMaxAlphabet = std::size_t{1} << 16;
 
-  // Pass 1: remap each column's labels to dense codes 0..k-1 by first
+  // Pass 1: remap each column's present labels to dense codes by first
   // appearance and record the column's lane width. A column holding
-  // kMissing then trades codes so that kMissing gets 0 and its present
-  // symbols 1..k-1. Only equality and presence survive packing, so the
-  // remap changes nothing the kernels can observe, and the swap keeps
-  // the code count (and so the lane width) of the plain remap.
+  // kMissing gives it code 0 and its k present symbols 1..k; other
+  // columns keep 0..k-1. Only equality and presence survive packing, so
+  // the remap changes nothing the kernels can observe.
   std::vector<std::uint32_t> remapped(n * m);
   std::vector<std::uint32_t> width(m);
   std::vector<char> has_missing(m, 0);
   std::size_t missing_columns = 0;
-  std::unordered_map<Clustering::Label, std::uint32_t> alphabet;
+  std::vector<Clustering::Label> column(n);
+  DenseLabels alphabet;
   for (std::size_t i = 0; i < m; ++i) {
-    alphabet.clear();
-    std::uint32_t max_id = 0;
     for (std::size_t v = 0; v < n; ++v) {
-      const Clustering::Label label = rows[v * m + i];
-      auto [it, inserted] = alphabet.try_emplace(
-          label, static_cast<std::uint32_t>(alphabet.size()));
-      if (inserted && alphabet.size() > kMaxAlphabet) return nullptr;
-      remapped[v * m + i] = it->second;
-      if (it->second > max_id) max_id = it->second;
+      column[v] = rows[v * m + i];
+      has_missing[i] |= column[v] == Clustering::kMissing;
     }
-    width[i] = LaneWidthFor(max_id);
-    const auto missing = alphabet.find(Clustering::kMissing);
-    if (missing == alphabet.end()) continue;
-    has_missing[i] = 1;
-    ++missing_columns;
-    const std::uint32_t code = missing->second;
-    if (code == 0) continue;
+    const std::size_t codes =
+        alphabet.Remap(column.data(), n, column.data()) + has_missing[i];
+    if (codes > kMaxAlphabet) return nullptr;
+    width[i] = LaneWidthFor(
+        codes == 0 ? 0u : static_cast<std::uint32_t>(codes - 1));
+    missing_columns += has_missing[i];
+    const auto offset = static_cast<Clustering::Label>(has_missing[i]);
     for (std::size_t v = 0; v < n; ++v) {
-      std::uint32_t& c = remapped[v * m + i];
-      c = c == code ? 0 : c == 0 ? code : c;
+      remapped[v * m + i] = column[v] == Clustering::kMissing
+                                ? 0u
+                                : static_cast<std::uint32_t>(column[v] +
+                                                             offset);
     }
   }
 

@@ -43,8 +43,7 @@
 // Eligibility. Packing fails (returns nullptr) only when some column
 // needs more than 2^16 codes (lane width would exceed 16 bits) or
 // m == 0; callers then keep the general loop. Whether the (d, o)
-// semantics apply (unit weights) is the caller's check — SignatureIndex
-// packs weighted inputs too, because it only needs equality of rows.
+// semantics apply (unit weights) is the caller's check.
 //
 // Dispatch. Three tiers, selected once per process from the
 // CLUSTAGG_KERNEL environment variable (portable | swar | avx2) with
@@ -292,31 +291,6 @@ inline std::size_t PackedValueIndex(const PackedLabels& p, std::size_t u,
 /// Entries in the (d, o) value table a layout needs.
 inline std::size_t PackedValueTableSize(const PackedLabels& p) {
   return (p.missing_columns + 1) * (p.m + 1);
-}
-
-/// Equality of two packed rows — equivalent to equality of the original
-/// label rows (per-column remapping is injective). SignatureIndex's
-/// collision check.
-inline bool PackedRowsEqual(const PackedLabels& p, std::size_t u,
-                            std::size_t v) {
-  const std::uint64_t* a = p.row(u);
-  const std::uint64_t* b = p.row(v);
-  for (std::size_t w = 0; w < p.words_per_object; ++w) {
-    if (a[w] != b[w]) return false;
-  }
-  return true;
-}
-
-/// FNV-1a over a packed row's words. Hash quality only affects bucket
-/// balance, never grouping (collisions are resolved by PackedRowsEqual).
-inline std::uint64_t HashPackedRow(const PackedLabels& p, std::size_t v) {
-  const std::uint64_t* a = p.row(v);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t w = 0; w < p.words_per_object; ++w) {
-    h ^= a[w];
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 /// Bulk row fill: out[v - v0] = value_table[PackedValueIndex(p, u, v)]

@@ -33,7 +33,14 @@ struct Solved {
   RunOutcome outcome = RunOutcome::kConverged;
   /// The degradation notes the solve recorded, in the order taken.
   std::vector<std::string> fallbacks;
+  /// The `aggregate.fallback.*` counter of each note. Solve records no
+  /// telemetry itself: per-shard solves run in parallel, and the caller
+  /// counts these from its own thread (RecordFallbackCounters).
+  std::vector<const char*> counters;
 };
+
+/// Adds one to each of solved.counters in `telemetry` (null: nothing).
+void RecordFallbackCounters(Telemetry* telemetry, const Solved& solved);
 
 /// The multiplicities of an unfolded solve.
 inline const std::vector<double> kUnfolded;
@@ -56,8 +63,8 @@ struct SubsetSolve {
 /// BALLS + LOCALSEARCH (allow_fallbacks), a dense build that does not fit
 /// is retried on the lazy backend (allow_fallbacks), a budget that fires
 /// during the build yields no clustering, and one that fires before the
-/// polish skips it. Each step is noted in Solved::fallbacks and counted
-/// under `aggregate.fallback.*`.
+/// polish skips it. Each step is noted in Solved::fallbacks, with its
+/// `aggregate.fallback.*` counter in Solved::counters.
 ///
 /// For SAMPLING (`subset` set) it runs subset->base on subset->source
 /// with no EXACT gate, no polish and no telemetry of its own, and an

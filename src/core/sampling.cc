@@ -180,10 +180,14 @@ Result<ClustererRun> SamplingAggregateControlled(
 
   // Thread the budget into the subset-instance builds (their dense fill
   // is the quadratic part of the pipeline) unless the caller already set
-  // a budget of their own there.
+  // a budget of their own there, and the telemetry sink unless the
+  // caller set one there.
   SamplingOptions opts = options;
   if (!run.unlimited() && opts.source.run.unlimited()) {
     opts.source.run = run;
+  }
+  if (opts.source.run.telemetry() == nullptr) {
+    opts.source.run = opts.source.run.WithTelemetry(run.telemetry());
   }
   RunOutcome outcome = RunOutcome::kConverged;
 
@@ -265,23 +269,10 @@ Result<ClustererRun> SamplingAggregateControlled(
         input, clusters, opts.missing.coin_together_probability);
   }
 
-  std::vector<std::size_t> singleton_objects;
+  // The cluster index that minimizes v's correlation cost, or
+  // clusters.size() for a fresh singleton.
   std::vector<double> m_row(clusters.size());
-  for (std::size_t v = 0; v < n; ++v) {
-    if (in_sample[v]) continue;
-    // Each object costs O(k m); poll every 16 so the interval stays
-    // bounded. Objects past an interrupt become singletons — the same
-    // fallback the assignment itself uses for far-from-everything
-    // objects — so the partition stays valid.
-    if (v % 16 == 0 && outcome == RunOutcome::kConverged) {
-      run.ChargeIterations(16);
-      outcome = run.Poll();
-    }
-    if (outcome != RunOutcome::kConverged) {
-      final_labels[v] = next_label++;
-      singleton_objects.push_back(v);
-      continue;
-    }
+  auto best_cluster = [&](std::size_t v) {
     if (use_index) {
       index->M(v, m_row.data());
     } else {
@@ -306,6 +297,47 @@ Result<ClustererRun> SamplingAggregateControlled(
         best_cost = cost;
         best = j;
       }
+    }
+    return best;
+  };
+
+  // M(v, .) depends on v only through its label row, so the choice is
+  // made once per signature and reused for its later objects (each of
+  // which still gets a fresh label when the choice is a singleton). The
+  // grouping pays off only on inputs with repeated rows: a sample
+  // without one says s is close to n, where the O(n m) grouping pass
+  // and its per-object arrays buy nothing, so every object is decided
+  // on its own. The index is built at the first object actually
+  // decided, so a run interrupted before that never pays for it.
+  const bool per_signature =
+      SignatureIndex::BuildSubset(input, sample).num_signatures() <
+      sample.size();
+  std::optional<SignatureIndex> signatures;
+  constexpr std::size_t kUndecided = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> choice;
+
+  std::vector<std::size_t> singleton_objects;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (in_sample[v]) continue;
+    // Each decision costs O(k m); poll every 16 objects so the
+    // interval stays bounded. Objects past an interrupt become
+    // singletons — the same fallback the assignment itself uses for
+    // far-from-everything objects — so the partition stays valid.
+    if (v % 16 == 0 && outcome == RunOutcome::kConverged) {
+      run.ChargeIterations(16);
+      outcome = run.Poll();
+    }
+    std::size_t best = clusters.size();
+    if (outcome == RunOutcome::kConverged && !per_signature) {
+      best = best_cluster(v);
+    } else if (outcome == RunOutcome::kConverged) {
+      if (!signatures) {
+        signatures = SignatureIndex::Build(input);
+        choice.assign(signatures->num_signatures(), kUndecided);
+      }
+      std::size_t& chosen = choice[signatures->signature_of(v)];
+      if (chosen == kUndecided) chosen = best_cluster(v);
+      best = chosen;
     }
     if (best < clusters.size()) {
       final_labels[v] = static_cast<Clustering::Label>(best);

@@ -61,9 +61,12 @@ struct SamplingStats {
 /// The SAMPLING meta-algorithm (Section 4.1): aggregate a uniform sample
 /// with `base`, assign every non-sampled object to the cluster of the
 /// sample minimizing the correlation cost (or to a singleton), then
-/// collect all singletons and aggregate them again with `base`. Pre- and
-/// post-processing are O(n * sample_size * m); only the sample pays the
-/// quadratic cost.
+/// collect all singletons and aggregate them again with `base`. The
+/// assignment decides once per distinct label row (signature): O(n m)
+/// to group the objects plus O(m k) per signature for the k sample
+/// clusters under the coin policy (O(sample_size m) under kIgnore); only
+/// the sample pays the quadratic cost. When the sample repeats no label
+/// row the grouping is skipped and every object is decided on its own.
 Result<Clustering> SamplingAggregate(const ClusteringSet& input,
                                      const CorrelationClusterer& base,
                                      const SamplingOptions& options = {},

@@ -2,6 +2,7 @@
 #define CLUSTAGG_CORE_SIGNATURE_INDEX_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/clustering.h"
@@ -29,7 +30,11 @@ class SignatureIndex {
  public:
   /// Groups all objects of `input`. Signatures are numbered 0..s-1 in
   /// order of first appearance (ascending object id), so the result is
-  /// deterministic.
+  /// deterministic. O(n m) time with flat tables and no hashing of whole
+  /// rows: the grouping is refined one clustering at a time (see
+  /// docs/performance.md, "Duplicate-signature folding"). Signature ids
+  /// are 32-bit, so the input must have fewer than 2^32 - 1 objects
+  /// (CHECK-enforced).
   static SignatureIndex Build(const ClusteringSet& input);
 
   /// Same, restricted to `subset`: element i of the index describes
@@ -84,11 +89,7 @@ class SignatureIndex {
                                   const std::vector<std::size_t>* subset);
 
   std::vector<std::size_t> representative_;
-  /// Subset-space index of each representative (== representative_ when
-  /// built without a subset); lets BuildImpl compare candidate rows
-  /// without a global-id lookup.
-  std::vector<std::size_t> rep_subset_index_;
-  std::vector<std::size_t> signature_of_;
+  std::vector<std::uint32_t> signature_of_;
   std::vector<double> multiplicity_;
 };
 

@@ -107,8 +107,9 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
   shard_options.num_threads = std::max<std::size_t>(1, resolved / outer);
   // Telemetry spans are single-threaded by contract (Span begin/end must
   // come from one thread at a time), so parallel per-shard solves run
-  // with the sink detached; the per-shard latency histogram below is
-  // recorded from this thread after the join either way.
+  // with the sink detached; the per-shard latency histogram and the
+  // solves' fallback counters are recorded from this thread after the
+  // join either way.
   shard_options.run = outer > 1 ? run.WithTelemetry(nullptr) : run;
 
   std::vector<std::optional<internal::Solved>> solved(shard_count);
@@ -163,7 +164,9 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
     if (solve_nanos[s] != 0) {
       TelemetryObserve(telemetry, "shard.solve_nanos", solve_nanos[s]);
     }
-    if (!solved[s].has_value()) {
+    if (solved[s].has_value()) {
+      internal::RecordFallbackCounters(telemetry, *solved[s]);
+    } else {
       any_unsolved = true;
       const RunOutcome interrupt = run.Poll();
       solved[s].emplace().outcome = interrupt == RunOutcome::kConverged
@@ -183,39 +186,42 @@ Result<AggregationResult> ShardedAggregate(const ClusteringSet& input,
     TelemetryCount(telemetry, "shard.fallback.solve_interrupted");
   }
 
-  InstrumentedSpan stitch_span(telemetry, "shard.stitch");
-  if (shard_count == 1 && solved[0]->clustering.has_value()) {
-    // One shard over every node: its solve was the whole solve, label for
-    // label.
-    return internal::Score(input, options,
-                           fold ? fold->Expand(*solved[0]->clustering)
-                                : std::move(*solved[0]->clustering),
-                           &out);
-  }
-  // Each shard's labels move past the previous shards' range; objects of
-  // a shard without a clustering (never started, or its build was
-  // interrupted) get a label each.
-  std::vector<Clustering::Label> offset(shard_count, 0);
-  std::vector<std::size_t> position(nodes);
-  Clustering::Label next = 0;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    const std::vector<std::size_t>& shard = plan->shards[s];
-    for (std::size_t i = 0; i < shard.size(); ++i) position[shard[i]] = i;
-    offset[s] = next;
-    if (const std::optional<Clustering>& local = solved[s]->clustering) {
-      next += *std::max_element(local->labels().begin(),
-                                local->labels().end()) + 1;
+  // The stitch span closes before scoring: `score` is a child of
+  // `aggregate` on every path.
+  Clustering stitched = [&] {
+    InstrumentedSpan stitch_span(telemetry, "shard.stitch");
+    if (shard_count == 1 && solved[0]->clustering.has_value()) {
+      // One shard over every node: its solve was the whole solve, label
+      // for label.
+      return fold ? fold->Expand(*solved[0]->clustering)
+                  : std::move(*solved[0]->clustering);
     }
-  }
-  std::vector<Clustering::Label> labels(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t node = fold ? fold->signature_of(v) : v;
-    const std::size_t s = plan->shard_of[node];
-    const std::optional<Clustering>& local = solved[s]->clustering;
-    labels[v] = local ? offset[s] + local->label(position[node]) : next++;
-  }
-  Clustering stitched(std::move(labels));
-  stitched.Normalize();
+    // Each shard's labels move past the previous shards' range; objects
+    // of a shard without a clustering (never started, or its build was
+    // interrupted) get a label each.
+    std::vector<Clustering::Label> offset(shard_count, 0);
+    std::vector<std::size_t> position(nodes);
+    Clustering::Label next = 0;
+    for (std::size_t s = 0; s < shard_count; ++s) {
+      const std::vector<std::size_t>& shard = plan->shards[s];
+      for (std::size_t i = 0; i < shard.size(); ++i) position[shard[i]] = i;
+      offset[s] = next;
+      if (const std::optional<Clustering>& local = solved[s]->clustering) {
+        next += *std::max_element(local->labels().begin(),
+                                  local->labels().end()) + 1;
+      }
+    }
+    std::vector<Clustering::Label> labels(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      const std::size_t node = fold ? fold->signature_of(v) : v;
+      const std::size_t s = plan->shard_of[node];
+      const std::optional<Clustering>& local = solved[s]->clustering;
+      labels[v] = local ? offset[s] + local->label(position[node]) : next++;
+    }
+    Clustering joined(std::move(labels));
+    joined.Normalize();
+    return joined;
+  }();
   return internal::Score(input, options, std::move(stitched), &out);
 }
 

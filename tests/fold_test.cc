@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstddef>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,6 +20,7 @@
 #include "core/clustering_set.h"
 #include "core/correlation_instance.h"
 #include "core/signature_index.h"
+#include "io/clustering_io.h"
 
 namespace clustagg {
 namespace {
@@ -185,6 +188,131 @@ TEST(SignatureIndexTest, ExpandMapsSignatureLabelsBackToObjects) {
   const Clustering folded({0, 1, 0});
   const Clustering expanded = index.Expand(folded);
   EXPECT_EQ(expanded, Clustering({0, 1, 0, 1, 0, 0}));
+}
+
+// ------------------------------------- SignatureIndex differential
+
+/// The grouping SignatureIndex must reproduce, computed the obvious way:
+/// a std::map from the full label row to its first-appearance id.
+struct ReferenceGrouping {
+  std::vector<std::size_t> signature_of;
+  std::vector<std::size_t> representatives;
+  std::vector<double> multiplicities;
+};
+
+ReferenceGrouping GroupByRow(const ClusteringSet& input,
+                             const std::vector<std::size_t>& objects) {
+  ReferenceGrouping out;
+  std::map<std::vector<Clustering::Label>, std::size_t> ids;
+  for (std::size_t v : objects) {
+    std::vector<Clustering::Label> row;
+    for (const Clustering& c : input.clusterings()) row.push_back(c.label(v));
+    const auto [it, inserted] = ids.emplace(std::move(row), ids.size());
+    if (inserted) {
+      out.representatives.push_back(v);
+      out.multiplicities.push_back(0.0);
+    }
+    out.signature_of.push_back(it->second);
+    out.multiplicities[it->second] += 1.0;
+  }
+  return out;
+}
+
+void ExpectGrouping(const SignatureIndex& index,
+                    const ReferenceGrouping& reference) {
+  ASSERT_EQ(index.num_objects(), reference.signature_of.size());
+  EXPECT_EQ(index.representatives(), reference.representatives);
+  EXPECT_EQ(index.multiplicities(), reference.multiplicities);
+  for (std::size_t v = 0; v < index.num_objects(); ++v) {
+    ASSERT_EQ(index.signature_of(v), reference.signature_of[v]) << "v = " << v;
+  }
+}
+
+/// Build, and BuildSubset over every third object, against the
+/// reference.
+void ExpectMatchesReference(const ClusteringSet& input) {
+  std::vector<std::size_t> all(input.num_objects());
+  for (std::size_t v = 0; v < all.size(); ++v) all[v] = v;
+  ExpectGrouping(SignatureIndex::Build(input), GroupByRow(input, all));
+  std::vector<std::size_t> subset;
+  for (std::size_t v = 1; v < all.size(); v += 3) subset.push_back(v);
+  ExpectGrouping(SignatureIndex::BuildSubset(input, subset),
+                 GroupByRow(input, subset));
+}
+
+/// `copies` copies of `base_n` random rows, interleaved: labels drawn
+/// from k values, each mapped through `spread` (to reach sparse label
+/// ranges), kMissing at the given rate.
+ClusteringSet RandomRows(std::size_t base_n, std::size_t copies,
+                         std::size_t m, std::size_t k, double missing_rate,
+                         std::uint64_t seed,
+                         Clustering::Label (*spread)(Clustering::Label)) {
+  Rng rng(seed);
+  std::vector<Clustering> clusterings;
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<Clustering::Label> base(base_n);
+    for (Clustering::Label& label : base) {
+      label = rng.NextBernoulli(missing_rate)
+                  ? Clustering::kMissing
+                  : spread(static_cast<Clustering::Label>(rng.NextBounded(k)));
+    }
+    std::vector<Clustering::Label> labels(base_n * copies);
+    for (std::size_t v = 0; v < labels.size(); ++v) {
+      labels[v] = base[(v * 7919) % base_n];
+    }
+    clusterings.emplace_back(std::move(labels));
+  }
+  return *ClusteringSet::Create(std::move(clusterings));
+}
+
+Clustering::Label Identity(Clustering::Label label) { return label; }
+
+Clustering::Label ToMaxParsed(Clustering::Label label) {
+  return kMaxParsedLabel - 1000003 * label;
+}
+
+TEST(SignatureIndexDifferentialTest, SmallAlphabetsWithMissingLabels) {
+  // Label values index a flat table over (prefix, label + 1) directly.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed = " + std::to_string(seed));
+    ExpectMatchesReference(RandomRows(300, 4, 6, 3, 0.2, seed, Identity));
+    ExpectMatchesReference(RandomRows(500, 1, 3, 2, 0.5, seed, Identity));
+  }
+}
+
+TEST(SignatureIndexDifferentialTest, LabelsUpToMaxParsedLabel) {
+  // Label values near kMaxParsedLabel are too sparse for a flat table;
+  // each column's keys go to the open-addressing table.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed = " + std::to_string(seed));
+    ExpectMatchesReference(RandomRows(300, 4, 5, 4, 0.1, seed, ToMaxParsed));
+  }
+}
+
+TEST(SignatureIndexDifferentialTest, WidePrefixesUseTheHashedTable) {
+  // 40 codes per column over 700 distinct rows of 2100 objects: from
+  // the third column on, prefixes x codes pass the 2n + 64 flat bound
+  // even for small label values.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed = " + std::to_string(seed));
+    ExpectMatchesReference(RandomRows(700, 3, 5, 40, 0.05, seed, Identity));
+    ExpectMatchesReference(RandomRows(700, 3, 5, 40, 0.05, seed,
+                                      ToMaxParsed));
+  }
+}
+
+TEST(SignatureIndexDifferentialTest, EmptyAndDegenerateShapes) {
+  // n = 0, and an empty subset of a non-empty input.
+  ExpectMatchesReference(*ClusteringSet::Create({Clustering()}));
+  const ClusteringSet one = *ClusteringSet::Create({Clustering({7})});
+  ExpectMatchesReference(one);
+  ExpectGrouping(SignatureIndex::BuildSubset(one, {}),
+                 GroupByRow(one, {}));
+  // Constant columns carry no information: every object shares the
+  // signature, as it would with no column at all. An input with m = 0
+  // cannot be built (ClusteringSet::Create rejects it).
+  ExpectMatchesReference(RandomRows(50, 2, 3, 1, 0.0, 1, Identity));
+  EXPECT_FALSE(ClusteringSet::Create({}).ok());
 }
 
 // --------------------------------------------- weighted-cost identity

@@ -1,6 +1,7 @@
 // Tests for the SAMPLING meta-algorithm: planted-cluster recovery,
 // singleton reclustering, stats reporting, and degenerate sizes.
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -8,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/run_context.h"
+#include "common/telemetry.h"
 #include "core/agglomerative.h"
 #include "core/clustering_set.h"
 #include "core/local_search.h"
 #include "core/sampling.h"
+#include "core/signature_index.h"
 #include "eval/metrics.h"
 
 namespace clustagg {
@@ -326,6 +330,257 @@ TEST(SamplingTest, AssignmentBitIdenticalOnPinnedInputs) {
       SamplingFingerprint(*ClusteringSet::Create(std::move(wide_huge)), {});
   EXPECT_EQ(spread_sum, 0xa184b072a9b88a3aULL);
   EXPECT_EQ(spread_d, 0x1.7d62ep+20);
+}
+
+#if defined(CLUSTAGG_TELEMETRY_ENABLED)
+TEST(SamplingTest, UnlimitedRunThreadsTelemetryIntoSubInstanceBuilds) {
+  // The sample and the singleton pool each build one dense instance; an
+  // unlimited run that carries a sink records both, as a budgeted one
+  // does.
+  const ClusteringSet input = NoisyCopies(Planted(100, 4), 5, 0.3, 17);
+  SamplingOptions options;
+  options.sample_size = 40;
+  const AgglomerativeClusterer base;
+  for (const RunContext& run :
+       {RunContext(), RunContext::WithIterationBudget(1u << 30)}) {
+    Telemetry telemetry;
+    Result<ClustererRun> result = SamplingAggregateControlled(
+        input, base, run.WithTelemetry(&telemetry), options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->outcome, RunOutcome::kConverged);
+    EXPECT_EQ(telemetry.counter("build.dense_builds")->value(), 2u)
+        << (run.unlimited() ? "unlimited" : "budgeted");
+  }
+}
+#endif  // CLUSTAGG_TELEMETRY_ENABLED
+
+/// A duplicate-heavy input: n objects drawn from a few hundred label
+/// rows (4 unit-weight clusterings of 3 planted groups, 20% label noise
+/// and 10% missing labels). Under the coin policy with p = 1/2 every
+/// X_uv is a multiple of 1/8, so any summation order of M(v, C_j) gives
+/// the same double and a per-object reference can be compared exactly.
+ClusteringSet DuplicateHeavyInput(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Clustering> clusterings;
+  for (std::size_t i = 0; i < 4; ++i) {
+    std::vector<Clustering::Label> labels(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      labels[v] = rng.NextBernoulli(0.1)   ? Clustering::kMissing
+                  : rng.NextBernoulli(0.2) ? static_cast<Clustering::Label>(
+                                                 rng.NextBounded(3))
+                                           : static_cast<Clustering::Label>(
+                                                 v % 3);
+    }
+    clusterings.emplace_back(std::move(labels));
+  }
+  return *ClusteringSet::Create(std::move(clusterings));
+}
+
+/// What a per-object assignment loop produces.
+struct ReferenceAssignment {
+  Clustering clustering;
+  std::size_t singletons = 0;
+  RunOutcome outcome = RunOutcome::kConverged;
+};
+
+/// The per-object reference of SAMPLING's assignment phase with
+/// reclustering off. The sample is redrawn from the seed, and its
+/// clusters are read off `result` in order of their smallest member,
+/// the order SAMPLING numbers them in. Every other object before `cut`
+/// takes the cluster minimizing T + 2 M(v, C_j) - |C_j| against the
+/// singleton cost T, with M(v, C_j) summed pair by pair; ties keep the
+/// lowest j and the singleton. Objects from `cut` on (an interrupt) and
+/// singleton choices get a fresh label each.
+class AssignmentReference {
+ public:
+  AssignmentReference(const ClusteringSet& input,
+                      const SamplingOptions& options,
+                      const Clustering& result)
+      : n_(input.num_objects()), in_sample_(n_, false),
+        label_(n_, Clustering::kMissing) {
+    Rng rng(options.seed);
+    std::vector<std::size_t> sample =
+        rng.SampleWithoutReplacement(n_, options.sample_size);
+    std::sort(sample.begin(), sample.end());
+    std::vector<std::vector<std::size_t>> clusters;
+    std::vector<std::size_t> cluster_of_label(n_, n_);
+    for (std::size_t v : sample) {
+      in_sample_[v] = true;
+      std::size_t& j =
+          cluster_of_label[static_cast<std::size_t>(result.label(v))];
+      if (j == n_) {
+        j = clusters.size();
+        clusters.emplace_back();
+      }
+      clusters[j].push_back(v);
+      label_[v] = static_cast<Clustering::Label>(j);
+    }
+    k_ = clusters.size();
+    choice_.assign(n_, k_);
+    for (std::size_t v = 0; v < n_; ++v) {
+      if (in_sample_[v]) continue;
+      std::vector<double> m_row(k_, 0.0);
+      double t = 0.0;
+      for (std::size_t j = 0; j < k_; ++j) {
+        for (std::size_t u : clusters[j]) {
+          m_row[j] += input.PairwiseDistance(v, u, options.missing);
+        }
+        t += static_cast<double>(clusters[j].size()) - m_row[j];
+      }
+      double best_cost = t;
+      for (std::size_t j = 0; j < k_; ++j) {
+        const double cost =
+            t + 2.0 * m_row[j] - static_cast<double>(clusters[j].size());
+        if (cost < best_cost) {
+          best_cost = cost;
+          choice_[v] = j;
+        }
+      }
+    }
+  }
+
+  ReferenceAssignment Cut(std::size_t cut) const {
+    ReferenceAssignment out;
+    std::vector<Clustering::Label> labels = label_;
+    auto next = static_cast<Clustering::Label>(k_);
+    for (std::size_t v = 0; v < n_; ++v) {
+      if (in_sample_[v]) continue;
+      if (v < cut && choice_[v] < k_) {
+        labels[v] = static_cast<Clustering::Label>(choice_[v]);
+      } else {
+        labels[v] = next++;
+        ++out.singletons;
+      }
+    }
+    out.clustering = Clustering(std::move(labels)).Normalized();
+    out.outcome =
+        cut < n_ ? RunOutcome::kDeadlineExceeded : RunOutcome::kConverged;
+    return out;
+  }
+
+  /// Objects from `cut` on that the uninterrupted loop would assign to a
+  /// sample cluster.
+  std::size_t AssignedFrom(std::size_t cut) const {
+    std::size_t count = 0;
+    for (std::size_t v = cut; v < n_; ++v) {
+      count += !in_sample_[v] && choice_[v] < k_;
+    }
+    return count;
+  }
+
+ private:
+  std::size_t n_;
+  std::size_t k_ = 0;
+  std::vector<bool> in_sample_;
+  std::vector<Clustering::Label> label_;
+  std::vector<std::size_t> choice_;
+};
+
+/// An iteration budget under which the sample phase of the test below
+/// finishes (it charges about 2000) and the assignment loop (16 per 16
+/// objects, 6000 objects) runs out of budget part-way.
+constexpr std::uint64_t kMidAssignmentBudget = 4000;
+
+// SAMPLING decides each signature once and reuses the decision for its
+// later objects. That must equal deciding every object on its own, with
+// and without an interrupt part-way through the assignment loop (which
+// polls every 16 objects).
+TEST(SamplingTest, PerSignatureAssignmentMatchesPerObjectLoop) {
+  const ClusteringSet input = DuplicateHeavyInput(6000, 77);
+  const AgglomerativeClusterer base;
+  MissingValueOptions ignore;
+  ignore.policy = MissingValuePolicy::kIgnore;
+  for (const MissingValueOptions& missing : {MissingValueOptions{}, ignore}) {
+    SCOPED_TRACE(missing.policy == MissingValuePolicy::kIgnore ? "ignore"
+                                                               : "coin");
+    SamplingOptions options;
+    options.sample_size = 1000;
+    options.seed = 3;
+    options.recluster_singletons = false;
+    options.missing = missing;
+
+    SamplingStats stats;
+    Result<ClustererRun> full = SamplingAggregateControlled(
+        input, base, RunContext(), options, &stats);
+    ASSERT_TRUE(full.ok()) << full.status();
+    const AssignmentReference reference(input, options, full->clustering);
+    const ReferenceAssignment expected = reference.Cut(input.num_objects());
+    EXPECT_EQ(full->clustering, expected.clustering);
+    EXPECT_EQ(stats.singletons_after_assignment, expected.singletons);
+    EXPECT_EQ(full->outcome, expected.outcome);
+
+    // A budget that the sample phase leaves room under, and that runs out
+    // part-way through the assignment.
+    Result<ClustererRun> cut_short = SamplingAggregateControlled(
+        input, base, RunContext::WithIterationBudget(kMidAssignmentBudget),
+        options, &stats);
+    ASSERT_TRUE(cut_short.ok()) << cut_short.status();
+    const AssignmentReference cut_reference(input, options,
+                                            cut_short->clustering);
+    std::size_t cut = 0;
+    while (cut < input.num_objects() &&
+           cut_reference.Cut(cut).clustering != cut_short->clustering) {
+      cut += 16;
+    }
+    ASSERT_LT(cut, input.num_objects()) << "no interrupt point matches";
+    // The poll cadence is the per-object loop's: its interrupt landed at
+    // object 2576 too (recorded from it, for both policies).
+    EXPECT_EQ(cut, 2576u);
+    EXPECT_GT(cut_reference.AssignedFrom(cut), 0u);
+    const ReferenceAssignment cut_expected = cut_reference.Cut(cut);
+    EXPECT_EQ(stats.singletons_after_assignment, cut_expected.singletons);
+    EXPECT_EQ(cut_short->outcome, cut_expected.outcome);
+  }
+}
+
+// On an input whose sample repeats no label row, SAMPLING skips the
+// grouping and decides every object on its own; the result must be the
+// per-object loop's all the same.
+TEST(SamplingTest, DistinctRowsAssignmentMatchesPerObjectLoop) {
+  // Three noise clusterings over 1000 labels keep rows distinct; six
+  // copies of 3 planted groups with 10% noise keep clusters to join.
+  const std::size_t n = 3000;
+  Rng rng(91);
+  std::vector<Clustering> clusterings;
+  for (std::size_t i = 0; i < 9; ++i) {
+    std::vector<Clustering::Label> labels(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      labels[v] = static_cast<Clustering::Label>(
+          i < 3 ? rng.NextBounded(1000)
+                : rng.NextBernoulli(0.1) ? rng.NextBounded(3) : v % 3);
+    }
+    clusterings.emplace_back(std::move(labels));
+  }
+  const ClusteringSet input = *ClusteringSet::Create(std::move(clusterings));
+  const AgglomerativeClusterer base;
+  MissingValueOptions ignore;
+  ignore.policy = MissingValuePolicy::kIgnore;
+  for (const MissingValueOptions& missing : {MissingValueOptions{}, ignore}) {
+    SCOPED_TRACE(missing.policy == MissingValuePolicy::kIgnore ? "ignore"
+                                                               : "coin");
+    SamplingOptions options;
+    options.sample_size = 1000;
+    options.seed = 5;
+    options.recluster_singletons = false;
+    options.missing = missing;
+    Rng sample_rng(options.seed);
+    std::vector<std::size_t> sample =
+        sample_rng.SampleWithoutReplacement(n, options.sample_size);
+    std::sort(sample.begin(), sample.end());
+    ASSERT_EQ(SignatureIndex::BuildSubset(input, sample).num_signatures(),
+              sample.size());
+
+    SamplingStats stats;
+    Result<ClustererRun> full = SamplingAggregateControlled(
+        input, base, RunContext(), options, &stats);
+    ASSERT_TRUE(full.ok()) << full.status();
+    const AssignmentReference reference(input, options, full->clustering);
+    const ReferenceAssignment expected = reference.Cut(n);
+    EXPECT_GT(reference.AssignedFrom(0), 0u);
+    EXPECT_EQ(full->clustering, expected.clustering);
+    EXPECT_EQ(stats.singletons_after_assignment, expected.singletons);
+    EXPECT_EQ(full->outcome, expected.outcome);
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -620,6 +621,66 @@ TEST(ShardStreamTest, RebuildRoutesThroughShardingPipeline) {
             CanonicalPartition(groups));
   EXPECT_DOUBLE_EQ(sharded_stream.cost(), plain_stream.cost());
 }
+
+// --------------------------------------------------------- telemetry
+
+#if defined(CLUSTAGG_TELEMETRY_ENABLED)
+TEST(ShardTelemetryTest, PerShardFallbackCountersSurviveParallelSolves) {
+  // Every shard exceeds EXACT's tractable size, so each per-shard solve
+  // falls back once. Parallel solves run with the sink detached; their
+  // counters are recorded after the join, like their notes.
+  const ClusteringSet input = NoisyInput(100, 5, 3, 31);
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    Telemetry telemetry;
+    AggregatorOptions options;
+    options.algorithm = AggregationAlgorithm::kExact;
+    options.shard.mode = ShardingMode::kFixed;
+    options.shard.num_shards = 3;
+    options.num_threads = threads;
+    options.run = RunContext().WithTelemetry(&telemetry);
+    Result<AggregationResult> result = Aggregate(input, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->shard_count, 3u);
+    EXPECT_EQ(result->fallbacks.size(), 3u);
+    EXPECT_EQ(telemetry.counter("aggregate.fallback.exact_to_balls")->value(),
+              3u);
+  }
+}
+
+TEST(ShardTelemetryTest, ScoreSpanIsAChildOfAggregate) {
+  // docs/observability.md registers `score` under `aggregate`; a sharded
+  // run closes `shard.stitch` before it scores.
+  const ClusteringSet input = NoisyInput(100, 5, 3, 31);
+  Telemetry telemetry;
+  AggregatorOptions options;
+  options.algorithm = AggregationAlgorithm::kBalls;
+  options.shard.mode = ShardingMode::kFixed;
+  options.shard.num_shards = 3;
+  options.num_threads = 1;
+  options.run = RunContext().WithTelemetry(&telemetry);
+  Result<AggregationResult> result = Aggregate(input, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->shard_count, 3u);
+  const std::vector<Span> spans = telemetry.Spans();
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans[0].name, "aggregate");
+  EXPECT_EQ(spans[0].parent, Span::kNoParent);
+  std::size_t scores = 0;
+  bool stitched = false;
+  for (const Span& span : spans) {
+    if (span.name == "shard.stitch") {
+      stitched = true;
+      EXPECT_EQ(span.parent, 0u);
+    }
+    if (span.name != "score") continue;
+    ++scores;
+    EXPECT_EQ(span.parent, 0u);
+  }
+  EXPECT_TRUE(stitched);
+  EXPECT_EQ(scores, 1u);
+}
+#endif  // CLUSTAGG_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace clustagg
